@@ -13,7 +13,6 @@ input sequences, and detector traces that witness them.
 from .design import (
     SynthesisResult,
     SynthesisSpec,
-    lower_bound_check,
     min_links_value,
     optimal_sensor_count,
     synthesize,
@@ -100,7 +99,6 @@ __all__ = [
     "is_structurally_left_invertible",
     "load_realization",
     "load_topology",
-    "lower_bound_check",
     "max_disjoint_paths",
     "max_linking",
     "min_links_value",

@@ -19,12 +19,11 @@ import numpy as np
 
 from .design import SynthesisSpec, min_links_value, optimal_sensor_count, \
     synthesize, synthesize_platoon
-from .separators import InfeasibilityError, certify_robustness, max_linking
-from .simulation import AttackTrace, NullspaceAmbiguityError, \
-    FilterConvergenceError, find_perfect_attack, realize, simulate, write_trace
-from .topology import AttackScenario, StructuredSystem, TopologyFormatError, \
-    format_topology, load_topology, parse_agent_id, parse_observer_id, \
-    save_topology
+from .separators import certify_robustness, max_linking
+from .simulation import NullspaceAmbiguityError, FilterConvergenceError, \
+    find_perfect_attack, realize, simulate, write_trace
+from .topology import AttackScenario, StructuredSystem, format_topology, \
+    load_topology, parse_agent_id, parse_observer_id, save_topology
 
 DEFAULT_SEED = 1729
 
@@ -39,7 +38,7 @@ def _default_seed() -> int:
         raise ValueError(f"STEALTHGUARD_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_attack_ids(spec: str | None, topology):
+def _parse_attack_ids(spec: str | None) -> AttackScenario:
     agents, observers = set(), set()
     if spec:
         for token in spec.split(","):
@@ -55,32 +54,48 @@ def _parse_attack_ids(spec: str | None, topology):
                 observers.add(parse_observer_id(token))
             except ValueError:
                 raise ValueError(f"bad attack target {token!r}; use ids like x3 or y1") from None
-    for i in agents:
-        if not 1 <= i <= topology.n:
-            raise ValueError(f"attack target x{i} is out of range")
-    for k in observers:
-        if not 1 <= k <= topology.m:
-            raise ValueError(f"attack target y{k} is out of range")
     size = len(agents) + len(observers)
     return AttackScenario(compromised_agents=agents, compromised_observers=observers,
                           p_bound=size)
 
 
-def _emit(args, doc: dict, text_lines) -> None:
-    if args.json:
+def _load_system(args) -> StructuredSystem:
+    """The --topology file with the --attack targets; StructuredSystem
+    rejects targets outside the topology."""
+    topology, _file_p = load_topology(args.topology)
+    return StructuredSystem(topology=topology, scenario=_parse_attack_ids(args.attack))
+
+
+def _realize(args):
+    return realize(_load_system(args), seed=args.seed,
+                   spectral_radius_target=args.spectral_radius, eta=args.eta)
+
+
+def _emit(as_json: bool, doc: dict, lines: list, out: str | None = None,
+          save=None) -> None:
+    """Print the report as JSON or text.
+
+    With ``out`` set, ``save(out)`` writes the command's own file (a
+    topology or a trace) and the report names it; without ``save`` the
+    report itself is mirrored to ``out``.
+    """
+    if out and save:
+        save(out)
+        doc["out"] = out
+        lines.append(f"wrote {out}")
+    if as_json:
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(lines) + "\n"
     sys.stdout.write(payload)
-    if getattr(args, "out", None) and args.command in ("analyze", "certify", "sensors"):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out and not save:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
 
 
 def cmd_analyze(args) -> int:
-    topology, _file_p = load_topology(args.topology)
-    scenario = _parse_attack_ids(args.attack, topology)
-    system = StructuredSystem(topology=topology, scenario=scenario)
+    system = _load_system(args)
+    scenario = system.scenario
     linking = max_linking(system)
     verdict = scenario.num_inputs == 0 or linking.size == scenario.num_inputs
     doc = {
@@ -97,7 +112,7 @@ def cmd_analyze(args) -> int:
     if scenario.num_inputs == 0:
         doc["warning"] = "empty attack set; vacuously left invertible"
         lines.append("warning: empty attack set; vacuously left invertible")
-    _emit(args, doc, lines)
+    _emit(args.json, doc, lines, args.out)
     return 0 if verdict else 1
 
 
@@ -119,43 +134,38 @@ def cmd_certify(args) -> int:
                    + [f"y{k}" for k in sorted(ce.attack.compromised_observers)])
         lines.append(f"counterexample: deficient separator at {ce.agent}; "
                      f"undetectable attack on {{{', '.join(targets)}}}")
-    _emit(args, doc, lines)
+    _emit(args.json, doc, lines, args.out)
     return 0 if report.robust else 1
 
 
-def _write_synthesis(args, result, p: int) -> int:
+def _report_synthesis(args, result) -> int:
+    """Without --out the topology itself goes to stdout, in text form."""
     if args.out:
-        save_topology(args.out, result.topology, p, as_json=False)
         doc = {
-            "n": result.topology.n, "m": result.chosen_m, "p": p,
+            "n": result.topology.n, "m": result.chosen_m, "p": args.p,
             "attack_class": args.attack_class,
             "link_count": result.link_count,
             "certified": result.certified,
-            "out": args.out,
         }
         lines = [f"links: {result.link_count} (self-loops included)",
-                 f"certified robust: {'yes' if result.certified else 'no'}",
-                 f"wrote {args.out}"]
-        if args.json:
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write("\n".join(lines) + "\n")
+                 f"certified robust: {'yes' if result.certified else 'no'}"]
+        _emit(args.json, doc, lines, args.out,
+              save=lambda path: save_topology(path, result.topology, args.p))
     else:
-        sys.stdout.write(format_topology(result.topology, p))
+        sys.stdout.write(format_topology(result.topology, args.p))
     return 0 if result.certified else 1
 
 
 def cmd_synthesize(args) -> int:
     spec = SynthesisSpec(n=args.n, m=args.m, p=args.p,
                          observers_attackable=args.attack_class == "xy")
-    result = synthesize(spec)
-    return _write_synthesis(args, result, args.p)
+    return _report_synthesis(args, synthesize(spec))
 
 
 def cmd_platoon(args) -> int:
     result = synthesize_platoon(args.n, args.m, args.p,
                                 observers_attackable=args.attack_class == "xy")
-    return _write_synthesis(args, result, args.p)
+    return _report_synthesis(args, result)
 
 
 def cmd_sensors(args) -> int:
@@ -169,7 +179,7 @@ def cmd_sensors(args) -> int:
     lines = [f"best sensor count: m={m_star}",
              f"links at that m: {links}",
              f"total cost: {cost:g}"]
-    _emit(args, doc, lines)
+    _emit(args.json, doc, lines, args.out)
     return 0
 
 
@@ -177,80 +187,56 @@ def _alarm_rate(flags) -> float:
     return float(np.mean(flags)) if len(flags) else 0.0
 
 
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 def cmd_simulate(args) -> int:
-    topology, _file_p = load_topology(args.topology)
-    scenario = _parse_attack_ids(args.attack, topology)
-    system = StructuredSystem(topology=topology, scenario=scenario)
-    real = realize(system, seed=args.seed,
-                   spectral_radius_target=args.spectral_radius,
-                   eta=args.eta)
-    if scenario.num_inputs:
+    real = _realize(args)
+    if real.num_inputs:
         input_rng = np.random.default_rng([args.seed, 1])
-        inputs = input_rng.standard_normal((args.horizon, scenario.num_inputs))
+        inputs = input_rng.standard_normal((args.horizon, real.num_inputs))
     else:
         inputs = None
     result = simulate(real, attack=inputs, seed=args.seed, horizon=args.horizon)
     doc = {
         "horizon": args.horizon,
-        "attack_inputs": scenario.num_inputs,
+        "attack_inputs": real.num_inputs,
         "nominal_alarm_rate": _alarm_rate(result.alarms),
         "attacked_alarm_rate": _alarm_rate(result.attacked_alarms),
-        "max_abs_delta_residue": float(np.max(np.abs(result.delta_residues), initial=0.0)),
+        "max_abs_delta_residue": _max_abs(result.delta_residues),
     }
     lines = [f"horizon: {args.horizon} steps",
              f"nominal alarm rate: {doc['nominal_alarm_rate']:.4f}",
              f"attacked alarm rate: {doc['attacked_alarm_rate']:.4f}",
              f"max |residue deviation|: {doc['max_abs_delta_residue']:.3e}"]
-    if args.out:
-        write_trace(args.out, result)
-        doc["out"] = args.out
-        lines.append(f"wrote {args.out}")
-    if args.json:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args.json, doc, lines, args.out, save=lambda path: write_trace(path, result))
     return 0
 
 
 def cmd_attack(args) -> int:
-    topology, _file_p = load_topology(args.topology)
-    scenario = _parse_attack_ids(args.attack, topology)
-    if scenario.num_inputs == 0:
+    real = _realize(args)
+    if real.num_inputs == 0:
         raise ValueError("attack needs at least one target; pass --attack ids")
-    system = StructuredSystem(topology=topology, scenario=scenario)
-    real = realize(system, seed=args.seed,
-                   spectral_radius_target=args.spectral_radius,
-                   eta=args.eta)
-    horizon = args.horizon if args.horizon is not None else 2 * topology.n
+    horizon = args.horizon if args.horizon is not None else 2 * real.n
     trace = find_perfect_attack(real, horizon=horizon)
     if trace is None:
         msg = "no stealthy input sequence exists at this realization"
-        if args.json:
-            sys.stdout.write(json.dumps({"found": False, "reason": msg},
-                                        indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(msg + "\n")
+        _emit(args.json, {"found": False, "reason": msg}, [msg])
         return 1
     result = simulate(real, attack=trace, seed=args.seed, horizon=trace.horizon)
     doc = {
         "found": True,
         "horizon": trace.horizon,
-        "max_abs_delta_residue": float(np.max(np.abs(result.delta_residues), initial=0.0)),
-        "max_abs_delta_state": float(np.max(np.abs(result.delta_states), initial=0.0)),
+        "max_abs_delta_residue": _max_abs(result.delta_residues),
+        "max_abs_delta_state": _max_abs(result.delta_states),
         "alarms_identical": bool(np.array_equal(result.alarms, result.attacked_alarms)),
     }
     lines = [f"stealthy input found over {trace.horizon} steps",
              f"max |residue deviation|: {doc['max_abs_delta_residue']:.3e}",
              f"max |state deviation|: {doc['max_abs_delta_state']:.3e}",
              f"alarm sequences identical: {'yes' if doc['alarms_identical'] else 'no'}"]
-    if args.out:
-        write_trace(args.out, result)
-        doc["out"] = args.out
-        lines.append(f"wrote {args.out}")
-    if args.json:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args.json, doc, lines, args.out, save=lambda path: write_trace(path, result))
     return 0
 
 
@@ -348,8 +334,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except (TopologyFormatError, InfeasibilityError, NullspaceAmbiguityError,
-            FilterConvergenceError, ValueError, OSError) as exc:
+    except (ValueError, OSError, NullspaceAmbiguityError, FilterConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

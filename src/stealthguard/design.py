@@ -17,33 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .separators import InfeasibilityError, certify_robustness
-from .topology import DcsTopology, topology_graph, agent_id
+from .topology import DcsTopology
 
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Design request: fixed sensor count when ``m`` is given, free otherwise.
-
-    The link/sensor unit costs only matter when ``m`` is free.
-    """
+    """Design request: n agents, m sensors, attack budget p, attack class."""
 
     n: int
-    m: int | None
+    m: int
     p: int
     observers_attackable: bool = True
-    cost_link: float = 1.0
-    cost_sensor: float = 1.0
-    platoon_constraint: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one agent")
         if self.p < 0 or self.p > self.n:
             raise ValueError(f"attack budget must satisfy 0 <= p <= n, got p={self.p}")
-        if self.m is not None and not (0 <= self.m <= self.n):
+        if not (0 <= self.m <= self.n):
             raise ValueError(f"need 0 <= m <= n, got m={self.m}")
-        if self.cost_link <= 0 or self.cost_sensor <= 0:
-            raise ValueError("unit costs must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,6 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     plus themselves. Round-robin target choices keep the result
     deterministic.
     """
-    if spec.platoon_constraint:
-        raise ValueError("use synthesize_platoon for chain-constrained designs")
-    if spec.m is None:
-        raise ValueError("synthesize needs a fixed sensor count; "
-                         "use optimal_sensor_count to choose m first")
     n, m, p = spec.n, spec.m, spec.p
     target = min_links_value(n, m, p, spec.observers_attackable)
     edges = {(i, i) for i in range(1, n + 1)}
@@ -124,7 +111,7 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     """
     if not (0 <= p <= n):
         raise ValueError(f"need 0 <= p <= n, got n={n} p={p}")
-    if cost_link <= 0 or cost_sensor <= 0:
+    if not (cost_link > 0 and cost_sensor > 0):  # NaN fails this too
         raise ValueError("unit costs must be positive")
     if p == 0:
         m_star = 0
@@ -173,19 +160,3 @@ def synthesize_platoon(n: int, m: int, p: int,
     return SynthesisResult(topology=topology, link_count=topology.link_count,
                            chosen_m=m, certified=report.robust)
 
-
-def lower_bound_check(topology: DcsTopology, p: int,
-                      observers_attackable: bool = True) -> bool:
-    """Cheap necessary condition for robustness (degrees only).
-
-    Full surface: every agent needs p+1 outgoing edges counting its
-    self-loop and sensor, else the out-neighborhood minus the agent is a
-    small separator. Agents-only: every unobserved agent needs p escape
-    targets besides itself.
-    """
-    g = topology_graph(topology)
-    if observers_attackable:
-        return all(len(g.successors(agent_id(i))) >= p + 1
-                   for i in range(1, topology.n + 1))
-    return all(len(g.successors(agent_id(i))) - 1 >= p
-               for i in sorted(topology.unobserved_agents))

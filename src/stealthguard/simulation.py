@@ -81,6 +81,9 @@ class Realization:
             raise ValueError("sensor or gain matrix has the wrong shape")
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("noise covariances have the wrong shape")
+        if not 0 <= self.eta < np.inf:  # also false for NaN
+            raise ValueError(f"alarm threshold eta must be finite and nonnegative, "
+                             f"got {self.eta}")
 
     @property
     def n(self) -> int:

@@ -421,11 +421,15 @@ def parse_topology(text: str):
 def _parse_topology_json(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise TopologyFormatError(f"bad JSON: {exc}") from None
     for key in ("n", "m", "p", "edges", "sensors"):
         if key not in doc:
             raise TopologyFormatError(f"JSON topology is missing key {key!r}")
+    for key in ("n", "m", "p"):
+        if type(doc[key]) is not int:  # bool is an int subclass; reject it too
+            raise TopologyFormatError(
+                f"JSON topology key {key!r} must be an integer, got {doc[key]!r}")
     try:
         edges = [(parse_agent_id(a), parse_agent_id(b)) for a, b in doc["edges"]]
         sensors = {parse_observer_id(y): parse_agent_id(x) for y, x in doc["sensors"]}
@@ -433,11 +437,11 @@ def _parse_topology_json(text: str):
         raise TopologyFormatError(f"bad JSON topology: {exc}") from None
     if len(edges) != len(set(edges)):
         raise TopologyFormatError("repeated edge (multi-edges are not allowed)")
-    p = int(doc["p"])
+    p = doc["p"]
     if p < 0:
         raise TopologyFormatError("attack budget p must be nonnegative")
     try:
-        top = DcsTopology(n=int(doc["n"]), m=int(doc["m"]),
+        top = DcsTopology(n=doc["n"], m=doc["m"],
                           agent_edges=edges, observer_assignment=sensors)
     except ValueError as exc:
         raise TopologyFormatError(str(exc)) from None

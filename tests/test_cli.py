@@ -281,3 +281,40 @@ def test_report_out_flag_mirrors_stdout(tmp_path, capsys):
                        "--json", "--out", str(report))
     assert code == 0
     assert report.read_text() == out
+
+
+
+def certify_text(tmp_path, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    return ["certify", "--topology", str(path)]
+
+
+def certify_pair_json(tmp_path, **header):
+    doc = {"n": 2, "m": 1, "p": 1, "edges": [["x1", "x1"], ["x2", "x2"], ["x1", "x2"]],
+           "sensors": [["y1", "x2"]]}
+    return certify_text(tmp_path, json.dumps(dict(doc, **header)))
+
+
+MALFORMED = {
+    "null n": lambda d: certify_pair_json(d, n=None),
+    "null p": lambda d: certify_pair_json(d, p=None),
+    "fractional header": lambda d: certify_pair_json(d, n=2.7, p=1.9),
+    "string n": lambda d: certify_pair_json(d, n="2"),
+    "deeply nested JSON": lambda d: certify_text(
+        d, '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    "negative eta": lambda d: ["simulate", "--topology", str(hidden_pair_file(d)),
+                               "--eta", "-1"],
+    "NaN eta": lambda d: ["simulate", "--topology", str(hidden_pair_file(d)),
+                          "--eta", "nan"],
+    "NaN sensor cost": lambda d: ["sensors", "--n", "5", "--p", "2",
+                                  "--k1", "1", "--k2", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, case):
+    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -80,6 +80,22 @@ def test_realize_validates_arguments():
         realize(sys, process_noise=0.0, measurement_noise=0.0)
 
 
+def test_alarm_threshold_must_be_finite_and_nonnegative(tmp_path):
+    sys = hidden_pair()
+    real = realize(sys, seed=3, eta=0.0)
+    path = tmp_path / "real.txt"
+    save_realization(path, real)
+    saved = path.read_text()
+    for eta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta"):
+            realize(sys, eta=eta)
+        with pytest.raises(ValueError, match="eta"):
+            dataclasses.replace(real, eta=eta)
+        path.write_text(saved.replace("eta 1 1\n0\n", f"eta 1 1\n{eta}\n"))
+        with pytest.raises(ValueError, match="eta"):
+            load_realization(path)
+
+
 def test_realize_accepts_noise_configuration():
     sys = hidden_pair()
     real = realize(sys, process_noise=2.0, measurement_noise=0.5)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthguard import (
     AttackScenario,
@@ -273,6 +274,48 @@ def test_parse_errors_carry_line_numbers():
         parse_topology("{not json")
     with pytest.raises(TopologyFormatError):
         parse_topology(json.dumps({"n": 1, "m": 0, "p": 0}))
+
+
+PAIR_JSON = {"n": 2, "m": 1, "p": 1, "edges": [["x1", "x1"], ["x2", "x2"], ["x1", "x2"]],
+             "sensors": [["y1", "x2"]]}
+
+
+@pytest.mark.parametrize("header", [
+    {"n": None}, {"m": None}, {"p": None},
+    {"n": 2.7, "p": 1.9}, {"n": 2.0}, {"p": 1.0},
+    {"n": "2"}, {"p": "1"}, {"m": True}, {"p": False},
+])
+def test_parse_json_header_must_be_integers(header):
+    with pytest.raises(TopologyFormatError, match="must be an integer"):
+        parse_topology(json.dumps(dict(PAIR_JSON, **header)))
+
+
+def test_parse_json_rejects_deep_nesting():
+    with pytest.raises(TopologyFormatError, match="bad JSON"):
+        parse_topology('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+_TOKENS = st.sampled_from(["edge", "sensor", "x1", "x2", "x3", "y1", "y2", "y0", "x0",
+                           "0", "1", "2", "3", "-1", "2.5", "#", "{", "}", "wire", ""])
+_TEXT = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8).map("\n".join)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                         st.floats(allow_nan=True), st.text(max_size=3),
+                         st.sampled_from(["x1", "x2", "y1", "x0"]))
+_JSON_VALUE = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                           max_leaves=12)
+_JSON_DOC = st.dictionaries(st.sampled_from(["n", "m", "p", "edges", "sensors"]),
+                            _JSON_VALUE).map(json.dumps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_TEXT, _JSON_DOC, st.text(max_size=40)))
+def test_parse_topology_fuzz_returns_topology_or_format_error(text):
+    try:
+        top, p = parse_topology(text)
+    except TopologyFormatError:
+        return
+    assert isinstance(top, DcsTopology) and type(p) is int
 
 
 def test_parse_rejects_missing_self_loop():
