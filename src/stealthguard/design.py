@@ -14,6 +14,7 @@ round-robin, and the result is re-certified before it is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .separators import InfeasibilityError, certify_robustness
@@ -111,8 +112,8 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     """
     if not (0 <= p <= n):
         raise ValueError(f"need 0 <= p <= n, got n={n} p={p}")
-    if not (cost_link > 0 and cost_sensor > 0):  # NaN fails this too
-        raise ValueError("unit costs must be positive")
+    if not all(c > 0 and math.isfinite(c) for c in (cost_link, cost_sensor)):
+        raise ValueError("unit costs must be positive and finite")
     if p == 0:
         m_star = 0
     elif observers_attackable:

@@ -2,16 +2,16 @@
 
 The workhorse is a unit-vertex-capacity max flow: every graph vertex is
 split into an entry and an exit copy joined by a capacity-1 arc, original
-edges get effectively unlimited capacity, and the flow value between two
-terminals then equals the maximum number of internally vertex-disjoint
+edges get a capacity above any achievable flow, and the flow value between
+two terminals then equals the maximum number of internally vertex-disjoint
 paths. By duality that value also equals the smallest vertex separator,
 and the saturated split arcs on the source side of the final residual
 graph form a canonical minimum separator (the one nearest the source).
 Augmentation is by shortest path (breadth-first search), so results are
 deterministic for a fixed input.
 
-All functions are pure; per-agent certification queries are independent
-and could run concurrently, the implementation just runs them in order.
+All functions are pure; certification builds one network per sink and
+reuses it for every agent, resetting its capacities between agents.
 """
 
 from __future__ import annotations
@@ -119,31 +119,37 @@ def _node_sort_key(node):
 
 
 class _VertexFlowNet:
-    """Split-vertex flow network with unit capacities on chosen vertices."""
+    """Split-vertex flow network toward one sink, reused across sources.
 
-    def __init__(self, graph: Digraph, source, sink, uncapped):
+    Every split arc has capacity 1. A flow leaves the exit copy of its
+    source and ends at the entry copy of the sink, so neither endpoint's
+    own split arc lies on an augmenting path. When the endpoints are not
+    adjacent every augmenting path crosses a split arc and carries one
+    unit; callers never flow between adjacent endpoints.
+    """
+
+    def __init__(self, graph: Digraph, sink):
         nodes = graph.nodes()
         self._nodes = nodes
-        idx = {v: i for i, v in enumerate(nodes)}
+        self._idx = idx = {v: i for i, v in enumerate(nodes)}
         nv = len(nodes)
         self._nv = nv
-        self._big = nv + 1  # exceeds any achievable flow, so never in a min cut
+        edge_cap = nv + 1  # exceeds any achievable flow, so never in a min cut
         self._to = []
         self._cap = []
         self._adj = [[] for _ in range(2 * nv)]
         # entry copy of node i is 2i, exit copy is 2i+1; split arcs first so
         # arc id e < 2*nv identifies the split arc of node e // 2
-        for v in nodes:
-            i = idx[v]
-            self._add_arc(2 * i, 2 * i + 1, self._big if v in uncapped else 1)
+        for i in range(nv):
+            self._add_arc(2 * i, 2 * i + 1, 1)
         for u in nodes:
             iu = idx[u]
             for w in graph.successors(u):
                 if w == u:
                     continue  # self-loops never lie on a simple path
-                self._add_arc(2 * iu + 1, 2 * idx[w], self._big)
-        self._source = 2 * idx[source] + 1
+                self._add_arc(2 * iu + 1, 2 * idx[w], edge_cap)
         self._sink = 2 * idx[sink]
+        self._source = None
         self._init_cap = list(self._cap)
 
     def _add_arc(self, u, v, c):
@@ -154,45 +160,40 @@ class _VertexFlowNet:
         self._to.append(u)
         self._cap.append(0)
 
-    def _augment(self, limit):
-        """Push along one shortest residual path; returns the amount pushed."""
-        to, cap, adj = self._to, self._cap, self._adj
+    def _augment(self) -> bool:
+        """Push one unit along a shortest residual path, if there is one."""
+        to, cap, adj, sink = self._to, self._cap, self._adj, self._sink
         parent = [-1] * (2 * self._nv)
         parent[self._source] = -2
         queue = deque([self._source])
-        while queue:
-            u = queue.popleft()
-            if u == self._sink:
-                break
-            for e in adj[u]:
+        while queue and parent[sink] == -1:
+            for e in adj[queue.popleft()]:
                 v = to[e]
                 if cap[e] > 0 and parent[v] == -1:
                     parent[v] = e
+                    if v == sink:
+                        break
                     queue.append(v)
-        if parent[self._sink] == -1:
-            return 0
-        push = limit
-        v = self._sink
+        if parent[sink] == -1:
+            return False
+        v = sink
         while v != self._source:
             e = parent[v]
-            push = min(push, cap[e])
+            cap[e] -= 1
+            cap[e ^ 1] += 1
             v = to[e ^ 1]
-        v = self._sink
-        while v != self._source:
-            e = parent[v]
-            cap[e] -= push
-            cap[e ^ 1] += push
-            v = to[e ^ 1]
-        return push
+        return True
 
-    def max_flow(self, cutoff=None) -> int:
+    def max_flow(self, source, cutoff=None) -> int:
+        """Flow value from ``source`` to the sink, stopping at ``cutoff``.
+
+        Starts from zero flow, so it discards the previous call's flow.
+        """
+        self._cap[:] = self._init_cap
+        self._source = 2 * self._idx[source] + 1
         flow = 0
-        while cutoff is None or flow < cutoff:
-            limit = self._big if cutoff is None else cutoff - flow
-            pushed = self._augment(limit)
-            if pushed == 0:
-                break
-            flow += pushed
+        while (cutoff is None or flow < cutoff) and self._augment():
+            flow += 1
         return flow
 
     def source_side_cut(self) -> list:
@@ -239,26 +240,21 @@ class _VertexFlowNet:
         return paths
 
 
-def max_disjoint_paths(graph: Digraph, source, sink,
-                       internal_only: bool = True) -> SeparatorResult:
+def max_disjoint_paths(graph: Digraph, source, sink) -> SeparatorResult:
     """Count disjoint source-to-sink paths and return a matching separator.
 
-    With ``internal_only`` (the default) paths may share only the two
-    endpoints and the witness is a minimum vertex separator excluding them;
-    adjacent endpoints admit no finite separator and yield a result with
-    ``size=None``. With the flag off the endpoints are unit-capacity too,
-    so paths must be disjoint everywhere (at most one exists) and the
-    witness may name an endpoint.
+    Paths may share only the two endpoints and the witness is a minimum
+    vertex separator excluding them; adjacent endpoints admit no finite
+    separator and yield a result with ``size=None``.
     """
     if not graph.has_node(source) or not graph.has_node(sink):
         raise KeyError(f"unknown endpoint: {source!r} or {sink!r}")
     if source == sink:
         raise ValueError("source and sink must differ")
-    if internal_only and graph.has_edge(source, sink):
+    if graph.has_edge(source, sink):
         return SeparatorResult(size=None, witness=None, disjoint_paths=())
-    uncapped = {source, sink} if internal_only else set()
-    net = _VertexFlowNet(graph, source, sink, uncapped)
-    value = net.max_flow()
+    net = _VertexFlowNet(graph, sink)
+    value = net.max_flow(source)
     witness = frozenset(net.source_side_cut())
     paths = tuple(tuple(p) for p in net.extract_paths(value))
     assert len(witness) == value
@@ -282,8 +278,8 @@ def max_linking(sys: StructuredSystem) -> LinkingResult:
         g.add_edge(_SUPER_SOURCE, f"u{t}")
     for k in range(1, sys.topology.m + 1):
         g.add_edge(f"y{k}", _SUPER_SINK)
-    net = _VertexFlowNet(g, _SUPER_SOURCE, _SUPER_SINK, {_SUPER_SOURCE, _SUPER_SINK})
-    value = net.max_flow()
+    net = _VertexFlowNet(g, _SUPER_SINK)
+    value = net.max_flow(_SUPER_SOURCE)
     paths = tuple(tuple(p[1:-1]) for p in net.extract_paths(value))
     return LinkingResult(size=value, paths=paths)
 
@@ -328,12 +324,11 @@ def certify_robustness(topology: DcsTopology, p: int,
         agents = range(1, topology.n + 1)
     else:
         agents = sorted(topology.unobserved_agents)
+    net = _VertexFlowNet(gprime, OBSERVER_SINK)
     counts = {}
     counterexample = None
     for i in agents:
-        net = _VertexFlowNet(gprime, agent_id(i), OBSERVER_SINK,
-                             {agent_id(i), OBSERVER_SINK})
-        size = net.max_flow(cutoff=p)
+        size = net.max_flow(agent_id(i), cutoff=p)
         counts[agent_id(i)] = size
         if size < p and counterexample is None:
             witness = frozenset(net.source_side_cut())

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .topology import (
     StructuredSystem,
@@ -181,7 +181,8 @@ def realize(sys: StructuredSystem, seed: int = 0,
     if m and spectral_radius(A - K @ C @ A) >= 1.0:
         raise FilterConvergenceError("steady-state filter came out unstable")
     if eta is None:
-        eta = float(chi2.ppf(0.95, m)) if m else 0.0
+        # the 95th percentile of chi-square with m degrees of freedom
+        eta = float(2 * gammaincinv(m / 2, 0.95)) if m else 0.0
     return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, K=K,
                        residue_cov=S, eta=float(eta))
 

@@ -241,16 +241,6 @@ def topology_graph(topology: DcsTopology) -> Digraph:
     return g
 
 
-def out_neighbors(topology: DcsTopology, node: str) -> set:
-    """Successor ids of an agent or observer node.
-
-    Agents list their own id too (self-loop). Observers are sinks. Raises
-    KeyError for ids not in the topology.
-    """
-    g = topology_graph(topology)
-    return set(g.successors(node))
-
-
 def build_attack_graph(sys: StructuredSystem) -> Digraph:
     """Communication graph plus one input node per attacked element.
 
@@ -271,25 +261,20 @@ def build_separator_graph(topology: DcsTopology, collapse_observers: bool = Fals
     With it true the observers vanish and each observed agent is wired
     straight into ``o``; separators are then sets of agents only.
     """
+    if not collapse_observers:
+        g = topology_graph(topology)
+        g.add_node(OBSERVER_SINK)
+        for k in range(1, topology.m + 1):
+            g.add_edge(observer_id(k), OBSERVER_SINK)
+        return g
     g = Digraph()
     for i in range(1, topology.n + 1):
         g.add_node(agent_id(i))
-    if collapse_observers:
-        g.add_node(OBSERVER_SINK)
-        for (a, b) in sorted(topology.agent_edges):
-            g.add_edge(agent_id(a), agent_id(b))
-        for j in sorted(topology.observed_agents):
-            g.add_edge(agent_id(j), OBSERVER_SINK)
-    else:
-        for k in range(1, topology.m + 1):
-            g.add_node(observer_id(k))
-        g.add_node(OBSERVER_SINK)
-        for (a, b) in sorted(topology.agent_edges):
-            g.add_edge(agent_id(a), agent_id(b))
-        for k in sorted(topology.observer_assignment):
-            g.add_edge(agent_id(topology.observer_assignment[k]), observer_id(k))
-        for k in range(1, topology.m + 1):
-            g.add_edge(observer_id(k), OBSERVER_SINK)
+    g.add_node(OBSERVER_SINK)
+    for (a, b) in sorted(topology.agent_edges):
+        g.add_edge(agent_id(a), agent_id(b))
+    for j in sorted(topology.observed_agents):
+        g.add_edge(agent_id(j), OBSERVER_SINK)
     return g
 
 
@@ -432,9 +417,15 @@ def _parse_topology_json(text: str):
                 f"JSON topology key {key!r} must be an integer, got {doc[key]!r}")
     try:
         edges = [(parse_agent_id(a), parse_agent_id(b)) for a, b in doc["edges"]]
-        sensors = {parse_observer_id(y): parse_agent_id(x) for y, x in doc["sensors"]}
+        sensor_pairs = [(parse_observer_id(y), parse_agent_id(x))
+                        for y, x in doc["sensors"]]
     except (TypeError, ValueError) as exc:
         raise TopologyFormatError(f"bad JSON topology: {exc}") from None
+    sensors = {}
+    for k, j in sensor_pairs:
+        if k in sensors:
+            raise TopologyFormatError(f"observer y{k} assigned twice")
+        sensors[k] = j
     if len(edges) != len(set(edges)):
         raise TopologyFormatError("repeated edge (multi-edges are not allowed)")
     p = doc["p"]

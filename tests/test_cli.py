@@ -309,6 +309,12 @@ MALFORMED = {
                           "--eta", "nan"],
     "NaN sensor cost": lambda d: ["sensors", "--n", "5", "--p", "2",
                                   "--k1", "1", "--k2", "nan"],
+    "infinite link cost": lambda d: ["sensors", "--n", "5", "--p", "2",
+                                     "--k1", "inf", "--k2", "1"],
+    "infinite sensor cost": lambda d: ["sensors", "--n", "5", "--p", "2",
+                                       "--k1", "1", "--k2", "inf"],
+    "observer assigned twice": lambda d: certify_pair_json(
+        d, sensors=[["y1", "x1"], ["y1", "x2"]]),
 }
 
 

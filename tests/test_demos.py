@@ -1,0 +1,24 @@
+"""The walkthrough demos run to completion against the source tree.
+
+Demo 05 (detector calibration, several seconds of Monte Carlo) is left out
+to keep the suite fast.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_certificates.py", "02_minimal_designs.py", "03_platoon.py",
+         "04_stealthy_attack.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

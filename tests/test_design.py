@@ -103,7 +103,8 @@ def test_sensor_count_matches_brute_scan():
 
 
 def test_sensor_count_rejects_costs_that_are_not_positive():
-    for k1, k2 in ((0.0, 1.0), (1.0, -2.0), (1.0, float("nan")), (float("nan"), 1.0)):
+    nan, inf = float("nan"), float("inf")
+    for k1, k2 in ((0.0, 1.0), (1.0, -2.0), (1.0, nan), (nan, 1.0), (inf, 1.0), (1.0, inf)):
         with pytest.raises(ValueError, match="positive"):
             optimal_sensor_count(5, 2, k1, k2)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthguard import (
     AttackScenario,
@@ -76,12 +77,6 @@ def test_disconnected_pair_has_empty_separator():
     assert res.size == 0
     assert res.witness == frozenset()
     assert res.disjoint_paths == ()
-
-
-def test_strict_mode_counts_endpoints():
-    res = max_disjoint_paths(chain("a", "b", "c"), "a", "c", internal_only=False)
-    assert res.size == 1
-    assert res.witness is not None and len(res.witness) == 1
 
 
 def test_two_disjoint_routes():
@@ -355,3 +350,36 @@ def test_report_dict_has_stable_keys():
     assert doc["counterexample"]["agent"] == "x1"
     assert doc["counterexample"]["separator"] == []
     assert doc["counterexample"]["attack_agents"] == ["x1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 60), sensor_share=st.floats(0.0, 1.0),
+       edge_prob=st.floats(0.02, 0.2), p=st.integers(0, 5),
+       observers_attackable=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
+                                               observers_attackable, seed):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    from networkx.algorithms.flow import build_residual_network
+
+    m = round(sensor_share * n)
+    t = random_topology(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
+    if observers_attackable:
+        p = min(p, m)
+    report = certify_robustness(t, p, observers_attackable=observers_attackable)
+    g = build_separator_graph(t, collapse_observers=not observers_attackable)
+    h = nx.DiGraph()
+    h.add_nodes_from(g.nodes())
+    h.add_edges_from((a, b) for a, b in g.edges() if a != b)
+    aux = build_auxiliary_node_connectivity(h)
+    residual = build_residual_network(aux, "capacity")
+    for agent, size in report.per_agent_min_separator.items():
+        flow = local_node_connectivity(h, agent, OBSERVER_SINK,
+                                       auxiliary=aux, residual=residual)
+        assert size == min(flow, p), agent
+    ce = report.counterexample
+    if ce is not None:
+        assert ce.separator == max_disjoint_paths(g, ce.agent, OBSERVER_SINK).witness

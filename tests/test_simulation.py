@@ -96,6 +96,15 @@ def test_alarm_threshold_must_be_finite_and_nonnegative(tmp_path):
             load_realization(path)
 
 
+def test_default_threshold_is_the_chi_square_95th_percentile():
+    from scipy.stats import chi2
+
+    for m in (1, 2, 3, 5, 8, 13):
+        sys = make_system(m, m, {(i, i) for i in range(1, m + 1)},
+                          {k: k for k in range(1, m + 1)})
+        assert realize(sys, seed=0).eta == chi2.ppf(0.95, m)
+
+
 def test_realize_accepts_noise_configuration():
     sys = hidden_pair()
     real = realize(sys, process_noise=2.0, measurement_noise=0.5)

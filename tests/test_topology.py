@@ -27,7 +27,7 @@ from stealthguard import (
     topology_graph,
     topology_to_json,
 )
-from stealthguard.topology import OBSERVER_SINK, out_neighbors
+from stealthguard.topology import OBSERVER_SINK
 
 from oracles import random_topology, reachable
 
@@ -75,32 +75,28 @@ def test_topology_accessors():
     assert t.observer_of(3) == 1 and t.observer_of(1) is None
 
 
-def test_out_neighbors_isolated_self_loop():
-    t = DcsTopology(n=2, m=1, agent_edges={(1, 1), (2, 2)}, observer_assignment={1: 2})
-    assert out_neighbors(t, "x1") == {"x1"}
-
-
-def test_out_neighbors_observed_agent_in_dense_design():
-    # observed agent in the dense minimal design: itself, one observed peer, its sensor
-    t = synthesize(SynthesisSpec(n=4, m=2, p=2)).topology
-    succ = out_neighbors(t, "x1")
-    assert len(succ) == 3
-    assert "x1" in succ and "y1" in succ
-    assert succ - {"x1", "y1"} <= {"x2"}
-
-
-def test_out_neighbors_matches_edge_scan():
+def test_topology_graph_successors_match_edge_scan():
     rng = np.random.default_rng(7)
     for _ in range(20):
         t = random_topology(rng, n_max=8)
+        g = topology_graph(t)
         for i in range(1, t.n + 1):
             expect = {f"x{b}" for (a, b) in t.agent_edges if a == i}
             k = t.observer_of(i)
             if k is not None:
                 expect.add(f"y{k}")
-            assert out_neighbors(t, f"x{i}") == expect
+            assert set(g.successors(f"x{i}")) == expect
     with pytest.raises(KeyError):
-        out_neighbors(t, "x999")
+        g.successors("x999")
+    # an isolated agent hears only itself
+    t = DcsTopology(n=2, m=1, agent_edges={(1, 1), (2, 2)}, observer_assignment={1: 2})
+    assert topology_graph(t).successors("x1") == ["x1"]
+    # observed agent in the dense minimal design: itself, one observed peer, its sensor
+    t = synthesize(SynthesisSpec(n=4, m=2, p=2)).topology
+    succ = set(topology_graph(t).successors("x1"))
+    assert len(succ) == 3
+    assert "x1" in succ and "y1" in succ
+    assert succ - {"x1", "y1"} <= {"x2"}
 
 
 def test_attack_graph_empty_set_is_plain_topology():
@@ -288,6 +284,12 @@ PAIR_JSON = {"n": 2, "m": 1, "p": 1, "edges": [["x1", "x1"], ["x2", "x2"], ["x1"
 def test_parse_json_header_must_be_integers(header):
     with pytest.raises(TopologyFormatError, match="must be an integer"):
         parse_topology(json.dumps(dict(PAIR_JSON, **header)))
+
+
+def test_parse_json_rejects_observer_assigned_twice():
+    doc = dict(PAIR_JSON, sensors=[["y1", "x1"], ["y1", "x2"]])
+    with pytest.raises(TopologyFormatError, match="observer y1 assigned twice"):
+        parse_topology(json.dumps(doc))
 
 
 def test_parse_json_rejects_deep_nesting():
