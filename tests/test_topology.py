@@ -75,7 +75,22 @@ def test_topology_accessors():
     assert t.observer_of(3) == 1 and t.observer_of(1) is None
 
 
-def test_topology_graph_successors_match_edge_scan():
+def test_out_neighbors_isolated_self_loop():
+    # an isolated agent hears only itself
+    t = DcsTopology(n=2, m=1, agent_edges={(1, 1), (2, 2)}, observer_assignment={1: 2})
+    assert topology_graph(t).successors("x1") == ["x1"]
+
+
+def test_out_neighbors_observed_agent_in_dense_design():
+    # observed agent in the dense minimal design: itself, one observed peer, its sensor
+    t = synthesize(SynthesisSpec(n=4, m=2, p=2)).topology
+    succ = set(topology_graph(t).successors("x1"))
+    assert len(succ) == 3
+    assert "x1" in succ and "y1" in succ
+    assert succ - {"x1", "y1"} <= {"x2"}
+
+
+def test_out_neighbors_matches_edge_scan():
     rng = np.random.default_rng(7)
     for _ in range(20):
         t = random_topology(rng, n_max=8)
@@ -88,15 +103,6 @@ def test_topology_graph_successors_match_edge_scan():
             assert set(g.successors(f"x{i}")) == expect
     with pytest.raises(KeyError):
         g.successors("x999")
-    # an isolated agent hears only itself
-    t = DcsTopology(n=2, m=1, agent_edges={(1, 1), (2, 2)}, observer_assignment={1: 2})
-    assert topology_graph(t).successors("x1") == ["x1"]
-    # observed agent in the dense minimal design: itself, one observed peer, its sensor
-    t = synthesize(SynthesisSpec(n=4, m=2, p=2)).topology
-    succ = set(topology_graph(t).successors("x1"))
-    assert len(succ) == 3
-    assert "x1" in succ and "y1" in succ
-    assert succ - {"x1", "y1"} <= {"x2"}
 
 
 def test_attack_graph_empty_set_is_plain_topology():
