@@ -8,6 +8,11 @@ topology, or sensor count, that achieves such robustness? The analysis
 is structural: verdicts hold for almost every choice of edge weights,
 and the simulation layer produces concrete weight matrices, stealthy
 input sequences, and detector traces that witness them.
+
+The graph layer (topology, separators, design) needs only the standard
+library. The numeric layer, ``simulation``, needs numpy and scipy and is
+loaded the first time one of its names is looked up here, so graph-only
+programs never import either.
 """
 
 from .design import (
@@ -29,40 +34,18 @@ from .separators import (
     max_disjoint_paths,
     max_linking,
 )
-from .simulation import (
-    AttackTrace,
-    FilterConvergenceError,
-    NullspaceAmbiguityError,
-    Realization,
-    SimulationResult,
-    evaluate_transfer,
-    false_alarm_rate,
-    find_perfect_attack,
-    load_realization,
-    normal_rank,
-    realize,
-    save_realization,
-    simulate,
-    spectral_radius,
-    write_trace,
-)
 from .topology import (
     AttackScenario,
     DcsTopology,
     Digraph,
     StructuredSystem,
     TopologyFormatError,
-    attack_output_pattern,
-    attack_state_pattern,
     build_attack_graph,
     build_separator_graph,
     format_topology,
     load_topology,
-    output_pattern,
     parse_topology,
     save_topology,
-    state_pattern,
-    topology_from_patterns,
     topology_graph,
     topology_to_json,
 )
@@ -119,3 +102,40 @@ __all__ = [
     "topology_to_json",
     "write_trace",
 ]
+
+# Names of the numeric layer, looked up in ``simulation`` on every access
+# rather than bound here, so a replaced function (a test's monkeypatch, a
+# tracer's wrapper) is seen through the package too.
+_NUMERIC = frozenset({
+    "AttackTrace",
+    "FilterConvergenceError",
+    "NullspaceAmbiguityError",
+    "Realization",
+    "SimulationResult",
+    "attack_output_pattern",
+    "attack_state_pattern",
+    "evaluate_transfer",
+    "false_alarm_rate",
+    "find_perfect_attack",
+    "load_realization",
+    "normal_rank",
+    "output_pattern",
+    "realize",
+    "save_realization",
+    "simulate",
+    "spectral_radius",
+    "state_pattern",
+    "topology_from_patterns",
+    "write_trace",
+})
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import simulation
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _NUMERIC)

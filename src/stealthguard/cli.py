@@ -6,6 +6,10 @@ found where one was requested), 1 for a negative analysis verdict, 2 for
 infeasible problems or invalid input. Reports are deterministic for a
 fixed seed; the default seed is overridden by the STEALTHGUARD_SEED
 environment variable.
+
+Only simulate and attack use the numeric layer; they import it, and with
+it numpy and scipy, when they run, so the graph-only commands start on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -15,13 +19,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .design import SynthesisSpec, min_links_value, optimal_sensor_count, \
     synthesize, synthesize_platoon
 from .separators import certify_robustness, max_linking
-from .simulation import NullspaceAmbiguityError, FilterConvergenceError, \
-    find_perfect_attack, realize, simulate, write_trace
 from .topology import AttackScenario, StructuredSystem, format_topology, \
     load_topology, parse_agent_id, parse_observer_id, save_topology
 
@@ -67,6 +67,7 @@ def _load_system(args) -> StructuredSystem:
 
 
 def _realize(args):
+    from .simulation import realize
     return realize(_load_system(args), seed=args.seed,
                    spectral_radius_target=args.spectral_radius, eta=args.eta)
 
@@ -184,14 +185,17 @@ def cmd_sensors(args) -> int:
 
 
 def _alarm_rate(flags) -> float:
-    return float(np.mean(flags)) if len(flags) else 0.0
+    return float(flags.mean()) if len(flags) else 0.0
 
 
 def _max_abs(values) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(abs(values).max(initial=0.0))
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .simulation import simulate, write_trace
     real = _realize(args)
     if real.num_inputs:
         input_rng = np.random.default_rng([args.seed, 1])
@@ -215,6 +219,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    import numpy as np
+
+    from .simulation import find_perfect_attack, simulate, write_trace
     real = _realize(args)
     if real.num_inputs == 0:
         raise ValueError("attack needs at least one target; pass --attack ids")
@@ -334,7 +341,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, OSError, NullspaceAmbiguityError, FilterConvergenceError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

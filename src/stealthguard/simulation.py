@@ -1,5 +1,12 @@
 """Numeric realizations, stealthy-input search and detector simulation.
 
+This is the package's only module that imports numpy and scipy; the
+package loads it the first time one of its names is used. It also holds
+the boolean zero patterns of the state, output and attack matrices
+(``state_pattern``, ``output_pattern``, ``attack_state_pattern``,
+``attack_output_pattern``) and their inverse ``topology_from_patterns``,
+which map between the graph layer's topologies and numpy arrays.
+
 A realization draws concrete coefficients for a structured system: state
 couplings land in [-1, -0.1] or [0.1, 1] before the matrix is rescaled to
 a target spectral radius below one, attack and sensor matrices are 0/1
@@ -24,20 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
-from .topology import (
-    StructuredSystem,
-    attack_output_pattern,
-    attack_state_pattern,
-    output_pattern,
-    state_pattern,
-)
+from .topology import DcsTopology, StructuredSystem
 
 
-class FilterConvergenceError(RuntimeError):
+# Both numeric failures are ValueErrors: they reject an input the numerics
+# cannot handle, so callers, the CLI included, treat them like bad input.
+class FilterConvergenceError(ValueError):
     """The steady-state gain iteration failed to converge."""
 
 
-class NullspaceAmbiguityError(RuntimeError):
+class NullspaceAmbiguityError(ValueError):
     """A null-space candidate sat too close to the rank threshold."""
 
 
@@ -143,6 +146,67 @@ def _steady_state_filter(A, C, Q, R, tol=1e-12, max_iter=50_000):
     S = C @ P @ C.T + R
     K = np.linalg.solve(S, C @ P).T
     return K, (S + S.T) / 2
+
+
+# ---- zero patterns ----
+
+def state_pattern(topology: DcsTopology) -> np.ndarray:
+    """Boolean n-by-n pattern of the state matrix (row = receiver)."""
+    pat = np.zeros((topology.n, topology.n), dtype=bool)
+    for (a, b) in topology.agent_edges:
+        pat[b - 1, a - 1] = True
+    return pat
+
+
+def output_pattern(topology: DcsTopology) -> np.ndarray:
+    """Boolean m-by-n pattern of the output matrix (one 1 per sensor row)."""
+    pat = np.zeros((topology.m, topology.n), dtype=bool)
+    for k, j in topology.observer_assignment.items():
+        pat[k - 1, j - 1] = True
+    return pat
+
+
+def attack_state_pattern(sys: StructuredSystem) -> np.ndarray:
+    """Boolean n-by-p' pattern of the actuation side of the attack."""
+    n = sys.topology.n
+    pat = np.zeros((n, sys.num_attack_inputs), dtype=bool)
+    for t, i in enumerate(sorted(sys.scenario.compromised_agents)):
+        pat[i - 1, t] = True
+    return pat
+
+
+def attack_output_pattern(sys: StructuredSystem) -> np.ndarray:
+    """Boolean m-by-p' pattern of the sensor side of the attack."""
+    m = sys.topology.m
+    offset = len(sys.scenario.compromised_agents)
+    pat = np.zeros((m, sys.num_attack_inputs), dtype=bool)
+    for t, k in enumerate(sorted(sys.scenario.compromised_observers)):
+        pat[k - 1, offset + t] = True
+    return pat
+
+
+def topology_from_patterns(a_pattern, c_pattern) -> DcsTopology:
+    """Rebuild a topology from state and output patterns.
+
+    The output pattern must be in dedicated-sensor form: exactly one
+    nonzero per row and at most one per column.
+    """
+    a_pat = np.asarray(a_pattern, dtype=bool)
+    c_pat = np.asarray(c_pattern, dtype=bool)
+    if a_pat.ndim != 2 or a_pat.shape[0] != a_pat.shape[1]:
+        raise ValueError("state pattern must be square")
+    n = a_pat.shape[0]
+    if c_pat.size and c_pat.shape[1] != n:
+        raise ValueError("output pattern width must match state dimension")
+    m = c_pat.shape[0]
+    edges = {(j + 1, i + 1) for i, j in zip(*np.nonzero(a_pat))}
+    assignment = {}
+    for k in range(m):
+        cols = np.nonzero(c_pat[k])[0]
+        if len(cols) != 1:
+            raise ValueError(f"sensor row {k + 1} must read exactly one agent")
+        assignment[k + 1] = int(cols[0]) + 1
+    return DcsTopology(n=n, m=m, agent_edges=edges, observer_assignment=assignment)
 
 
 def realize(sys: StructuredSystem, seed: int = 0,

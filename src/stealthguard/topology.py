@@ -11,6 +11,11 @@ Node ids are plain strings ("x3", "y1"). Attack inputs in the augmented
 graph get "u1", "u2", ...; the separator reduction adds the sink id "o".
 All containers here are immutable or treated as read-only once built, so
 values can be shared freely across threads.
+
+This module, like the rest of the graph layer, needs only the standard
+library. The boolean zero patterns of the state, output and attack
+matrices (``state_pattern`` and friends, and ``topology_from_patterns``)
+are numpy arrays, so they live in :mod:`stealthguard.simulation`.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 OBSERVER_SINK = "o"
 
@@ -276,67 +279,6 @@ def build_separator_graph(topology: DcsTopology, collapse_observers: bool = Fals
     for j in sorted(topology.observed_agents):
         g.add_edge(agent_id(j), OBSERVER_SINK)
     return g
-
-
-# ---- zero patterns ----
-
-def state_pattern(topology: DcsTopology) -> np.ndarray:
-    """Boolean n-by-n pattern of the state matrix (row = receiver)."""
-    pat = np.zeros((topology.n, topology.n), dtype=bool)
-    for (a, b) in topology.agent_edges:
-        pat[b - 1, a - 1] = True
-    return pat
-
-
-def output_pattern(topology: DcsTopology) -> np.ndarray:
-    """Boolean m-by-n pattern of the output matrix (one 1 per sensor row)."""
-    pat = np.zeros((topology.m, topology.n), dtype=bool)
-    for k, j in topology.observer_assignment.items():
-        pat[k - 1, j - 1] = True
-    return pat
-
-
-def attack_state_pattern(sys: StructuredSystem) -> np.ndarray:
-    """Boolean n-by-p' pattern of the actuation side of the attack."""
-    n = sys.topology.n
-    pat = np.zeros((n, sys.num_attack_inputs), dtype=bool)
-    for t, i in enumerate(sorted(sys.scenario.compromised_agents)):
-        pat[i - 1, t] = True
-    return pat
-
-
-def attack_output_pattern(sys: StructuredSystem) -> np.ndarray:
-    """Boolean m-by-p' pattern of the sensor side of the attack."""
-    m = sys.topology.m
-    offset = len(sys.scenario.compromised_agents)
-    pat = np.zeros((m, sys.num_attack_inputs), dtype=bool)
-    for t, k in enumerate(sorted(sys.scenario.compromised_observers)):
-        pat[k - 1, offset + t] = True
-    return pat
-
-
-def topology_from_patterns(a_pattern, c_pattern) -> DcsTopology:
-    """Rebuild a topology from state and output patterns.
-
-    The output pattern must be in dedicated-sensor form: exactly one
-    nonzero per row and at most one per column.
-    """
-    a_pat = np.asarray(a_pattern, dtype=bool)
-    c_pat = np.asarray(c_pattern, dtype=bool)
-    if a_pat.ndim != 2 or a_pat.shape[0] != a_pat.shape[1]:
-        raise ValueError("state pattern must be square")
-    n = a_pat.shape[0]
-    if c_pat.size and c_pat.shape[1] != n:
-        raise ValueError("output pattern width must match state dimension")
-    m = c_pat.shape[0]
-    edges = {(j + 1, i + 1) for i, j in zip(*np.nonzero(a_pat))}
-    assignment = {}
-    for k in range(m):
-        cols = np.nonzero(c_pat[k])[0]
-        if len(cols) != 1:
-            raise ValueError(f"sensor row {k + 1} must read exactly one agent")
-        assignment[k + 1] = int(cols[0]) + 1
-    return DcsTopology(n=n, m=m, agent_edges=edges, observer_assignment=assignment)
 
 
 # ---- file format ----

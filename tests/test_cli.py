@@ -324,3 +324,23 @@ def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, failing, error", [
+    ("simulate", "realize", "FilterConvergenceError"),
+    ("attack", "find_perfect_attack", "NullspaceAmbiguityError"),
+])
+def test_numeric_errors_exit_two_with_a_message(tmp_path, capsys, monkeypatch,
+                                                command, failing, error):
+    import stealthguard.simulation as simulation
+    error_type = getattr(simulation, error)
+
+    def fail(*args, **kwargs):
+        raise error_type("injected failure")
+
+    monkeypatch.setattr(simulation, failing, fail)
+    code, out, err = run(capsys, command, "--topology", str(hidden_pair_file(tmp_path)),
+                         "--attack", "x1,x2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: injected failure\n"
