@@ -14,10 +14,17 @@ indicators, and a steady-state one-step filter with gain K feeds a
 chi-square residue detector with threshold eta.
 
 The stealthy-input search asks whether some nonzero attack sequence
-produces exactly zero output deviation. It builds the block-Toeplitz map
-from inputs to output deviations, with extra trailing output rows (inputs
-off) so a null vector certifies invisibility for all time rather than for
-a truncated window, and every candidate is re-verified by simulation.
+produces exactly zero output deviation. That happens exactly when the
+attack-to-output transfer matrix loses column rank, and the rank is
+decided in exact arithmetic: every double is a dyadic rational, so the
+Rosenbrock pencil [zI-A, -B; C, D] reduces exactly modulo a prime q, and
+its rank over GF(q) at a random z is a lower bound on its generic rank.
+Full rank therefore proves that no stealthy input exists, with no float
+threshold involved. Only a rank-deficient realization builds the
+block-Toeplitz map from inputs to output deviations, with extra trailing
+output rows (inputs off) so a null vector stays invisible for all time
+rather than for a truncated window; its SVD supplies the witness, which
+is re-verified by simulation.
 
 Difference trajectories (attacked minus nominal) are simulated without
 noise: by linearity the noise terms cancel exactly, so Delta traces never
@@ -41,7 +48,8 @@ class FilterConvergenceError(ValueError):
 
 
 class NullspaceAmbiguityError(ValueError):
-    """A null-space candidate sat too close to the rank threshold."""
+    """The float null-space candidate failed its replay: its output
+    deviation is not numerically zero."""
 
 
 def spectral_radius(mat) -> float:
@@ -260,26 +268,106 @@ def evaluate_transfer(real: Realization, z: complex) -> np.ndarray:
     return real.C @ resolvent + real.D
 
 
-def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
-    """Generic rank of the attack-to-output transfer matrix.
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for odd 61 < q < 4_759_123_141."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
-    Evaluates at random points outside the spectrum (resampling any point
-    that lands within 1e-3 of an eigenvalue) and takes the largest
-    numerical rank seen, with a relative singular-value threshold of 1e-9.
+
+def _random_prime(rng) -> int:
+    """A prime drawn uniformly from [2**30, 2**31)."""
+    while True:
+        q = int(rng.integers(2**30, 2**31)) | 1
+        if _is_prime(q):
+            return q
+
+
+def _residues(values, q: int) -> np.ndarray:
+    """Exact residues in [0, q) of float64 values, for an odd prime q < 2**31.
+
+    np.frexp writes every finite double as frac * 2**e with frac * 2**53 an
+    integer, so the value is that integer times 2**(e - 53); a negative
+    power of two is an inverse modulo an odd q. Both factors lie below
+    2**31, so their product fits in int64.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix entries must be finite")
+    frac, exp = np.frexp(values)
+    mantissa = (frac * 2.0**53).astype(np.int64) % q
+    unique, where = np.unique(exp, return_inverse=True)
+    powers = np.array([pow(2, int(e) - 53, q) for e in unique], dtype=np.int64)
+    return mantissa * powers[where].reshape(exp.shape) % q
+
+
+def _rank_mod(mat: np.ndarray, q: int) -> int:
+    """Rank over GF(q) of an int64 matrix with entries in [0, q)."""
+    mat = mat.copy()
+    rows, cols = mat.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        hits = rank + np.flatnonzero(mat[rank:, c])
+        if hits.size == 0:
+            continue
+        if hits[0] != rank:  # the row at `rank` is zero in column c
+            mat[[rank, hits[0]]] = mat[[hits[0], rank]]
+        others = hits[1:]
+        if others.size:
+            factor = mat[others, c] * pow(int(mat[rank, c]), q - 2, q) % q
+            mat[others, c:] = (mat[others, c:] - np.outer(factor, mat[rank, c:])) % q
+        rank += 1
+    return rank
+
+
+def _pencil_rank(real: Realization, rng) -> int:
+    """Rank of the Rosenbrock pencil [zI-A, -B; C, D] over GF(q), for a
+    random prime q < 2**31 and a random z in GF(q). It never exceeds the
+    pencil's rank over the rationals in z, which is n plus the normal rank
+    of the transfer matrix D + C (zI-A)^-1 B."""
+    q = _random_prime(rng)
+    z = int(rng.integers(q))
+    pencil = _residues(np.block([[-real.A, -real.B], [real.C, real.D]]), q)
+    diagonal = np.arange(real.n)
+    pencil[diagonal, diagonal] = (pencil[diagonal, diagonal] + z) % q
+    return _rank_mod(pencil, q)
+
+
+def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
+    """Generic rank of the attack-to-output transfer matrix, decided exactly.
+
+    Each trial takes the rank of the Rosenbrock pencil over GF(q) at a
+    random point z, for a fresh random prime q < 2**31, and subtracts n.
+    That is a lower bound on the generic rank, so reaching the number of
+    attack inputs ends the loop and proves the map has full column rank:
+    no stealthy input exists. A deficient rank is returned only after
+    `trials` independent (z, q) draws all fell short, the largest seen. A
+    draw falls short of the true rank only when z is a root of a nonzero
+    minor (at most n of the q points; Schwartz-Zippel) or q divides all of
+    that minor's coefficients, so each draw errs with a tiny probability.
+    No float threshold takes part.
     """
     if trials < 3:
         raise ValueError("need at least 3 evaluation points")
-    eigs = np.linalg.eigvals(real.A) if real.n else np.zeros(0, dtype=complex)
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(trials):
-        while True:
-            z = rng.uniform(1.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
-            if eigs.size == 0 or np.min(np.abs(z - eigs)) > 1e-3:
-                break
-        s = np.linalg.svd(evaluate_transfer(real, z), compute_uv=False)
-        if s.size and s[0] > 0:
-            best = max(best, int(np.sum(s > s[0] * 1e-9)))
+        best = max(best, _pencil_rank(real, rng) - real.n)
+        if best == real.num_inputs:
+            break
     return best
 
 
@@ -291,8 +379,11 @@ class AttackTrace:
 
     All traces run over the input horizon: delta_states[k] is the state
     deviation entering step k, delta_outputs and delta_residues the output
-    and detector deviations at step k. min_singular_value records how
-    decisively the null space was separated from the retained ranks.
+    and detector deviations at step k. min_singular_value is the smallest
+    singular value of the block-Toeplitz map the inputs were taken from
+    (0.0 when that map is wider than tall): how close the float witness
+    sits to the exact null space. It reports on the witness only; the
+    existence of the attack was decided exactly.
     """
 
     inputs: np.ndarray
@@ -328,57 +419,61 @@ def _delta_residues(real: Realization, dy: np.ndarray) -> np.ndarray:
         if k == 0:
             dz[0] = dy[0]  # both filters start from the same fixed estimate
         else:
-            dz[k] = dy[k] - C @ (A @ dxh)
-            dxh = A @ dxh + K @ dz[k]
+            predicted = A @ dxh
+            dz[k] = dy[k] - C @ predicted
+            dxh = predicted + K @ dz[k]
     return dz
 
 
 def find_perfect_attack(real: Realization, horizon: int | None = None):
     """Search for an undetectable nonzero input sequence.
 
-    Builds the lower block-triangular map from inputs over `horizon` steps
-    (default twice the state dimension, the minimum accepted) to output
+    Whether one exists is decided exactly by `normal_rank`: full column
+    rank returns None at once, with no float threshold and without
+    building any map. A rank-deficient realization has a stealthy input
+    that lasts at most n + 1 steps, so it fits in `horizon` steps (default
+    twice the state dimension, the minimum accepted). For it, the search
+    builds the lower block-triangular map from those inputs to output
     deviations over horizon plus n steps; the surplus rows carry zero
-    input, so any null vector keeps the output at zero forever, not just
-    inside the window. Returns an AttackTrace scaled to unit peak state
-    deviation, or None when the map has full column rank. A candidate
-    whose re-simulated output deviation is not numerically zero raises
-    NullspaceAmbiguityError instead of being reported either way.
+    input, so a null vector keeps the output at zero forever, not just
+    inside the window. The last right singular vector of that map is the
+    witness, returned as an AttackTrace scaled to unit peak state
+    deviation. If its re-simulated output deviation is not numerically
+    zero, NullspaceAmbiguityError is raised instead of a trace.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else int(horizon)
     if N < 2 * n:
         raise ValueError("horizon must be at least twice the state dimension")
-    if p_in == 0:
+    if p_in == 0 or normal_rank(real) == p_in:
         return None
-    blocks = [real.D]
-    power = np.eye(n)
-    for _ in range(N + n - 1):
-        blocks.append(real.C @ power @ real.B)
-        power = real.A @ power
-    M = np.zeros(((N + n) * m, N * p_in))
-    for kb in range(N + n):
-        for jb in range(min(kb, N - 1) + 1):
-            M[kb * m:(kb + 1) * m, jb * p_in:(jb + 1) * p_in] = blocks[kb - jb]
-    cols = N * p_in
     if m == 0:
         inputs = np.zeros((N, p_in))
         inputs[0, 0] = 1.0
         smallest = 0.0
     else:
-        _, s, vh = np.linalg.svd(M, full_matrices=True)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > smax * 1e-9)) if smax > 0 else 0
-        if rank == cols:
-            return None
+        blocks = [real.D]
+        power = np.eye(n)
+        for _ in range(N + n - 1):
+            blocks.append(real.C @ power @ real.B)
+            power = real.A @ power
+        M = np.zeros(((N + n) * m, N * p_in))
+        for kb in range(N + n):
+            for jb in range(min(kb, N - 1) + 1):
+                M[kb * m:(kb + 1) * m, jb * p_in:(jb + 1) * p_in] = blocks[kb - jb]
+        # A tall map's economy SVD has the same s and vh as the full one and
+        # skips the (N+n)m-square U; a wide map needs the full vh, whose
+        # extra rows span the null space the economy vh leaves out.
+        wide = M.shape[0] < M.shape[1]
+        _, s, vh = np.linalg.svd(M, full_matrices=wide)
         inputs = vh[-1].reshape(N, p_in)
-        smallest = float(s[rank]) if rank < s.size else 0.0
+        smallest = 0.0 if wide else float(s[-1])
     dx, dy = _delta_open_loop(real, inputs, N + n)
     resid = float(np.max(np.abs(dy))) if dy.size else 0.0
     if resid > 1e-8:
         raise NullspaceAmbiguityError(
             f"null-space candidate leaks through the outputs "
-            f"(deviation {resid:.3e}, smallest retained singular value {smallest:.3e})")
+            f"(deviation {resid:.3e}, smallest singular value {smallest:.3e})")
     peak = float(np.max(np.abs(dx))) if dx.size else 0.0
     if peak > 1e-300:
         scale = 1.0 / peak
@@ -388,7 +483,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         if resid * scale > 1e-8:
             raise NullspaceAmbiguityError(
                 f"output deviation {resid * scale:.3e} after rescaling; "
-                f"smallest retained singular value {smallest:.3e}")
+                f"smallest singular value {smallest:.3e}")
     dz = _delta_residues(real, dy[:N])
     return AttackTrace(inputs=inputs, horizon=N, delta_states=dx[:N],
                        delta_outputs=dy[:N], delta_residues=dz,
@@ -478,8 +573,9 @@ def simulate(real: Realization, attack=None, seed: int = 0,
         if k == 0:
             residues[0] = y - C @ xh
         else:
-            residues[k] = y - C @ (A @ xh)
-            xh = A @ xh + K @ residues[k]
+            predicted = A @ xh
+            residues[k] = y - C @ predicted
+            xh = predicted + K @ residues[k]
         estimates[k] = xh
         x = A @ x + w[k]
     if inputs is None:

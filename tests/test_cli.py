@@ -247,6 +247,20 @@ def test_attack_reports_absence_on_robust_design(tmp_path, capsys):
     assert json.loads(doc_out)["found"] is False
 
 
+def test_attack_finds_nothing_on_a_certified_platoon(tmp_path, capsys):
+    top = tmp_path / "platoon.txt"
+    code, _, _ = run(capsys, "platoon", "--n", "30", "--m", "2", "--p", "2",
+                     "--out", str(top))
+    assert code == 0
+    trace = tmp_path / "attack.tsv"
+    code, out, err = run(capsys, "attack", "--topology", str(top), "--attack", "x1,x2",
+                         "--seed", "0", "--out", str(trace))
+    assert code == 1
+    assert "no stealthy input" in out
+    assert err == ""
+    assert not trace.exists()
+
+
 def test_attack_requires_targets(tmp_path, capsys):
     top = hidden_pair_file(tmp_path)
     code, _, err = run(capsys, "attack", "--topology", str(top), "--attack", "")

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from stealthguard import (
     spectral_radius,
     state_pattern,
     synthesize,
+    synthesize_platoon,
 )
+from stealthguard.simulation import _is_prime, _random_prime, _rank_mod, _residues
 
-from oracles import random_topology
+from oracles import brute_max_linking, random_topology
 
 
 def make_system(n, m, edges, sensors, agents=(), observers=()):
@@ -153,6 +156,111 @@ def test_normal_rank_tracks_structure():
             assert rank < sys.num_attack_inputs
 
 
+@pytest.mark.parametrize("q", [2**31 - 1, 1_000_000_007, 1_073_741_827])
+def test_residues_match_exact_rational_arithmetic(q):
+    values = [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.0 / 3.0, -123456789.123,
+              5e-324, -2.5e-310, 2.2250738585072014e-308, -3.0 * 2.0**-1060,
+              1.7976931348623157e308, -(2.0**1000), 2.0**52 + 1, 0.9 * 2.0**-40]
+    got = _residues(np.array(values).reshape(4, 4), q)
+    assert got.dtype == np.int64 and got.shape == (4, 4)
+    for value, residue in zip(values, got.ravel()):
+        exact = Fraction(value)
+        want = exact.numerator * pow(exact.denominator, -1, q) % q
+        assert residue == want, value
+
+
+def test_residues_reject_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            _residues(np.array([[1.0, bad]]), 2**31 - 1)
+
+
+def test_rank_mod_returns_known_ranks():
+    q = 2**31 - 1
+    rng = np.random.default_rng(3)
+    for rows, cols, rank in [(1, 1, 0), (1, 1, 1), (4, 7, 0), (5, 5, 3), (6, 4, 4),
+                             (7, 9, 5), (30, 20, 12)]:
+        left = rng.integers(0, q, (rows, rank))
+        right = rng.integers(0, q, (rank, cols))
+        mat = np.zeros((rows, cols), dtype=np.int64)
+        for t in range(rank):  # product mod q, kept below 2**63 term by term
+            mat = (mat + np.outer(left[:, t], right[t]) % q) % q
+        assert _rank_mod(mat, q) == rank, (rows, cols, rank)
+    # pivots that need a row swap, a zero column, and a rank lost only mod q
+    swap = np.array([[0, 0, 1], [0, 2, 5], [3, 1, 4]], dtype=np.int64)
+    assert _rank_mod(swap, q) == 3
+    assert _rank_mod(np.array([[0, 1], [0, 1]], dtype=np.int64), q) == 1
+    assert _rank_mod(np.array([[2, 1], [1, 4]], dtype=np.int64), 7) == 1
+    assert _rank_mod(np.array([[2, 1], [1, 4]], dtype=np.int64), q) == 2
+    original = swap.copy()
+    _rank_mod(swap, q)
+    assert np.array_equal(swap, original)
+
+
+def test_prime_draws_match_trial_division():
+    candidates = np.arange(2**30 + 1, 2**30 + 4001, 2)
+    small = np.arange(2, 32769)
+    small = small[[all(v % d for d in range(2, int(v**0.5) + 1)) for v in small]]
+    expected = np.all(candidates[:, None] % small[None, :] != 0, axis=1)
+    assert [_is_prime(int(c)) for c in candidates] == expected.tolist()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        q = _random_prime(rng)
+        assert 2**30 <= q < 2**31 and _is_prime(q)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 4), (30, 0), (30, 2), (30, 4), (45, 0), (45, 1),
+                                     (45, 2), (45, 3), (45, 4), (100, 0)])
+def test_certified_platoon_has_full_rank_and_no_stealthy_input(n, seed):
+    built = synthesize_platoon(n, 2, 2, observers_attackable=False)
+    assert built.certified
+    scen = AttackScenario(compromised_agents={1, 2}, compromised_observers=set(), p_bound=2)
+    real = realize(StructuredSystem(topology=built.topology, scenario=scen), seed=seed)
+    assert normal_rank(real) == 2
+    assert find_perfect_attack(real) is None
+
+
+def _replayed_output_deviation(real, inputs, steps):
+    x = np.zeros(real.n)
+    peak = 0.0
+    for k in range(steps):
+        u = inputs[k] if k < len(inputs) else np.zeros(real.num_inputs)
+        peak = max(peak, float(np.max(np.abs(real.C @ x + real.D @ u), initial=0.0)))
+        x = real.A @ x + real.B @ u
+    return peak
+
+
+def test_exact_rank_witness_and_structure_agree():
+    rng = np.random.default_rng(1104)
+    systems = [make_system(2, 1, {(1, 1), (2, 2), (2, 1)}, {1: 1}, agents=[1, 2],
+                           observers=[1])]  # wide map: 6 output rows, 12 inputs
+    while len(systems) < 60:
+        n = int(rng.integers(1, 21))
+        t = random_topology(rng, n=n, m=int(rng.integers(1, n + 1)),
+                            edge_prob=float(rng.uniform(0.03, 2.0 / n)))
+        count = int(rng.integers(1, min(t.n, t.m + 1) + 1))
+        agents = {int(v) + 1 for v in rng.permutation(t.n)[:count]}
+        observers = {int(rng.integers(1, t.m + 1))} if rng.random() < 0.3 else set()
+        systems.append(StructuredSystem(topology=t, scenario=AttackScenario(
+            compromised_agents=agents, compromised_observers=observers,
+            p_bound=len(agents) + len(observers))))
+    verdicts = {True: 0, False: 0}
+    for index, sys in enumerate(systems):
+        p_in = sys.num_attack_inputs
+        invertible = is_structurally_left_invertible(sys)
+        verdicts[invertible] += 1
+        assert (brute_max_linking(sys) == p_in) == invertible, index
+        real = realize(sys, seed=index)
+        assert (normal_rank(real, seed=index) == p_in) == invertible, index
+        trace = find_perfect_attack(real)
+        assert (trace is None) == invertible, index
+        if trace is not None:
+            steps = trace.horizon + real.n
+            assert _replayed_output_deviation(real, trace.inputs, steps) <= 1e-8, index
+            assert np.max(np.abs(trace.inputs)) > 0, index
+    assert verdicts[True] >= 15 and verdicts[False] >= 15
+
+
 def test_perfect_attack_exists_with_outnumbered_sensors():
     real = realize(hidden_pair(), seed=3)
     trace = find_perfect_attack(real)
@@ -207,8 +315,8 @@ def test_simulate_filter_recursion_and_first_residue():
     A, C, K = real.A, real.C, real.K
     for k in range(1, 30):
         pred = A @ res.estimates[k - 1]
-        assert np.allclose(res.residues[k], res.outputs[k] - C @ pred, atol=1e-12)
-        assert np.allclose(res.estimates[k], pred + K @ res.residues[k], atol=1e-12)
+        assert np.array_equal(res.residues[k], res.outputs[k] - C @ pred)
+        assert np.array_equal(res.estimates[k], pred + K @ res.residues[k])
 
 
 def test_simulate_rejects_bad_attack_shape():
