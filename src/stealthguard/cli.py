@@ -143,7 +143,7 @@ def _report_synthesis(args, result) -> int:
     """Without --out the topology itself goes to stdout, in text form."""
     if args.out:
         doc = {
-            "n": result.topology.n, "m": result.chosen_m, "p": args.p,
+            "n": result.topology.n, "m": result.topology.m, "p": args.p,
             "attack_class": args.attack_class,
             "link_count": result.link_count,
             "certified": result.certified,

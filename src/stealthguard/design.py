@@ -43,7 +43,6 @@ class SynthesisSpec:
 class SynthesisResult:
     topology: DcsTopology
     link_count: int
-    chosen_m: int
     certified: bool
 
 
@@ -97,7 +96,7 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     assert topology.link_count == target
     report = certify_robustness(topology, p, spec.observers_attackable)
     return SynthesisResult(topology=topology, link_count=topology.link_count,
-                           chosen_m=m, certified=report.robust)
+                           certified=report.robust)
 
 
 def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
@@ -159,5 +158,5 @@ def synthesize_platoon(n: int, m: int, p: int,
     assert topology.link_count == min_links_value(n, m, p, observers_attackable)
     report = certify_robustness(topology, p, observers_attackable)
     return SynthesisResult(topology=topology, link_count=topology.link_count,
-                           chosen_m=m, certified=report.robust)
+                           certified=report.robust)
 

@@ -10,6 +10,13 @@ graph form a canonical minimum separator (the one nearest the source).
 Augmentation is by shortest path (breadth-first search), so results are
 deterministic for a fixed input.
 
+Networks are built in integer vertex numbers. Linking, left invertibility
+and certification take them straight from the topology's cached integer
+core (see :mod:`stealthguard.topology`), appending the few extra vertices a
+query needs (attack inputs, super source and sink, the sensor sink);
+``max_disjoint_paths`` maps its Digraph to integers first. Ids are looked
+up in a names table only when a result object is made.
+
 All functions are pure; certification builds one network per sink and
 reuses it for every agent, resetting its capacities between agents.
 """
@@ -20,20 +27,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .topology import (
-    OBSERVER_SINK,
     AttackScenario,
     DcsTopology,
     Digraph,
     StructuredSystem,
     agent_id,
-    build_attack_graph,
-    build_separator_graph,
-    parse_agent_id,
-    parse_observer_id,
+    observer_id,
 )
-
-_SUPER_SOURCE = "_S"
-_SUPER_SINK = "_T"
 
 
 class InfeasibilityError(ValueError):
@@ -104,8 +104,8 @@ class RobustnessReport:
             doc["counterexample"] = {
                 "agent": ce.agent,
                 "separator": sorted(ce.separator, key=_node_sort_key),
-                "attack_agents": [f"x{i}" for i in sorted(ce.attack.compromised_agents)],
-                "attack_observers": [f"y{k}" for k in sorted(ce.attack.compromised_observers)],
+                "attack_agents": [agent_id(i) for i in sorted(ce.attack.compromised_agents)],
+                "attack_observers": [observer_id(k) for k in sorted(ce.attack.compromised_observers)],
             }
         return doc
 
@@ -121,44 +121,51 @@ def _node_sort_key(node):
 class _VertexFlowNet:
     """Split-vertex flow network toward one sink, reused across sources.
 
-    Every split arc has capacity 1. A flow leaves the exit copy of its
-    source and ends at the entry copy of the sink, so neither endpoint's
-    own split arc lies on an augmenting path. When the endpoints are not
-    adjacent every augmenting path crosses a split arc and carries one
-    unit; callers never flow between adjacent endpoints.
+    Built from integer successor lists: vertex v's successors are
+    ``succ[v]``, and every result is in vertex numbers. Every split arc has
+    capacity 1. A flow leaves the exit copy of its source and ends at the
+    entry copy of the sink, so neither endpoint's own split arc lies on an
+    augmenting path. When the endpoints are not adjacent every augmenting
+    path crosses a split arc and carries one unit; callers never flow
+    between adjacent endpoints.
     """
 
-    def __init__(self, graph: Digraph, sink):
-        nodes = graph.nodes()
-        self._nodes = nodes
-        self._idx = idx = {v: i for i, v in enumerate(nodes)}
-        nv = len(nodes)
+    def __init__(self, succ, sink: int):
+        nv = len(succ)
         self._nv = nv
         edge_cap = nv + 1  # exceeds any achievable flow, so never in a min cut
-        self._to = []
-        self._cap = []
-        self._adj = [[] for _ in range(2 * nv)]
-        # entry copy of node i is 2i, exit copy is 2i+1; split arcs first so
-        # arc id e < 2*nv identifies the split arc of node e // 2
-        for i in range(nv):
-            self._add_arc(2 * i, 2 * i + 1, 1)
-        for u in nodes:
-            iu = idx[u]
-            for w in graph.successors(u):
-                if w == u:
-                    continue  # self-loops never lie on a simple path
-                self._add_arc(2 * iu + 1, 2 * idx[w], edge_cap)
-        self._sink = 2 * idx[sink]
+        # entry copy of vertex i is 2i, exit copy is 2i+1. Arc pairs (e, e^1)
+        # are forward and residual; the split arcs come first, so arc id
+        # e < 2*nv is the split arc of vertex e // 2, and then one pair per
+        # edge, by tail vertex and successor order.
+        entry = [[2 * i] for i in range(nv)]
+        exit_ = [[2 * i + 1] for i in range(nv)]
+        heads, tails = [], []
+        arc = 2 * nv
+        for u, ws in enumerate(succ):
+            if u in ws:  # self-loops never lie on a simple path
+                at = ws.index(u)
+                ws = ws[:at] + ws[at + 1:]
+            if ws:
+                exit_[u] += range(arc, arc + 2 * len(ws), 2)
+                heads += ws
+                tails += [2 * u + 1] * len(ws)
+                arc += 2 * len(ws)
+        for e, w in zip(range(2 * nv + 1, arc, 2), heads):
+            entry[w].append(e)
+        to = [0] * arc
+        to[0:2 * nv:2] = range(1, 2 * nv, 2)
+        to[1:2 * nv:2] = range(0, 2 * nv, 2)
+        to[2 * nv::2] = [2 * w for w in heads]
+        to[2 * nv + 1::2] = tails
+        adj = [None] * (2 * nv)
+        adj[0::2] = entry
+        adj[1::2] = exit_
+        self._to, self._adj = to, adj
+        self._init_cap = [1, 0] * nv + [edge_cap, 0] * len(heads)
+        self._cap = list(self._init_cap)
+        self._sink = 2 * sink
         self._source = None
-        self._init_cap = list(self._cap)
-
-    def _add_arc(self, u, v, c):
-        self._adj[u].append(len(self._to))
-        self._to.append(v)
-        self._cap.append(c)
-        self._adj[v].append(len(self._to))
-        self._to.append(u)
-        self._cap.append(0)
 
     def _augment(self) -> bool:
         """Push one unit along a shortest residual path, if there is one."""
@@ -184,13 +191,13 @@ class _VertexFlowNet:
             v = to[e ^ 1]
         return True
 
-    def max_flow(self, source, cutoff=None) -> int:
-        """Flow value from ``source`` to the sink, stopping at ``cutoff``.
+    def max_flow(self, source: int, cutoff=None) -> int:
+        """Flow value from vertex ``source`` to the sink, stopping at ``cutoff``.
 
         Starts from zero flow, so it discards the previous call's flow.
         """
         self._cap[:] = self._init_cap
-        self._source = 2 * self._idx[source] + 1
+        self._source = 2 * source + 1
         flow = 0
         while (cutoff is None or flow < cutoff) and self._augment():
             flow += 1
@@ -212,30 +219,28 @@ class _VertexFlowNet:
                 if cap[e] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
-        return [self._nodes[i] for i in range(self._nv)
-                if seen[2 * i] and not seen[2 * i + 1]]
+        return [i for i in range(self._nv) if seen[2 * i] and not seen[2 * i + 1]]
 
     def extract_paths(self, count) -> list:
-        """Decompose the flow into `count` vertex-disjoint paths."""
+        """Decompose the flow into `count` vertex-disjoint vertex paths."""
         used = [self._init_cap[e] - self._cap[e] for e in range(0, len(self._cap), 2)]
         to, adj = self._to, self._adj
         paths = []
-        src_node = self._nodes[(self._source - 1) // 2]
-        sink_node = self._nodes[self._sink // 2]
+        src = (self._source - 1) // 2
         for _ in range(count):
-            path = [src_node]
+            path = [src]
             cur = self._source
             while cur != self._sink:
                 for e in adj[cur]:
                     if e % 2 == 0 and used[e // 2] > 0:
                         used[e // 2] -= 1
                         if e < 2 * self._nv:
-                            path.append(self._nodes[e // 2])
+                            path.append(e // 2)
                         cur = to[e]
                         break
                 else:  # pragma: no cover - flow conservation rules this out
                     raise AssertionError("flow decomposition dead-ended")
-            path.append(sink_node)
+            path.append(self._sink // 2)
             paths.append(path)
         return paths
 
@@ -253,10 +258,12 @@ def max_disjoint_paths(graph: Digraph, source, sink) -> SeparatorResult:
         raise ValueError("source and sink must differ")
     if graph.has_edge(source, sink):
         return SeparatorResult(size=None, witness=None, disjoint_paths=())
-    net = _VertexFlowNet(graph, sink)
-    value = net.max_flow(source)
-    witness = frozenset(net.source_side_cut())
-    paths = tuple(tuple(p) for p in net.extract_paths(value))
+    names = graph.nodes()
+    idx = {v: i for i, v in enumerate(names)}
+    net = _VertexFlowNet([[idx[w] for w in graph.successors(v)] for v in names], idx[sink])
+    value = net.max_flow(idx[source])
+    witness = frozenset(names[v] for v in net.source_side_cut())
+    paths = tuple(tuple(names[v] for v in p) for p in net.extract_paths(value))
     assert len(witness) == value
     return SeparatorResult(size=value, witness=witness, disjoint_paths=paths)
 
@@ -271,16 +278,16 @@ def max_linking(sys: StructuredSystem) -> LinkingResult:
     p_in = sys.num_attack_inputs
     if p_in == 0:
         return LinkingResult(size=0, paths=())
-    g = build_attack_graph(sys)
-    g.add_node(_SUPER_SOURCE)
-    g.add_node(_SUPER_SINK)
-    for t in range(1, p_in + 1):
-        g.add_edge(_SUPER_SOURCE, f"u{t}")
-    for k in range(1, sys.topology.m + 1):
-        g.add_edge(f"y{k}", _SUPER_SINK)
-    net = _VertexFlowNet(g, _SUPER_SINK)
-    value = net.max_flow(_SUPER_SOURCE)
-    paths = tuple(tuple(p[1:-1]) for p in net.extract_paths(value))
+    core = sys.topology._core
+    names, succ = core.attack_lists(sys.scenario)
+    # a super source _S feeds every input, every observer feeds a super sink _T
+    n, m = core.n, core.m
+    source, sink = n + m + p_in, n + m + p_in + 1
+    succ = (succ[:n] + ((sink,),) * m + succ[n + m:]
+            + (tuple(range(n + m, n + m + p_in)), ()))
+    net = _VertexFlowNet(succ, sink)
+    value = net.max_flow(source)
+    paths = tuple(tuple(names[v] for v in p[1:-1]) for p in net.extract_paths(value))
     return LinkingResult(size=value, paths=paths)
 
 
@@ -319,30 +326,27 @@ def certify_robustness(topology: DcsTopology, p: int,
             f"m={topology.m} sensors cannot withstand p={p} attacks on the "
             f"full surface: an adversary hitting all sensors plus one agent "
             f"always stays hidden; need m >= p")
-    gprime = build_separator_graph(topology, collapse_observers=not observers_attackable)
+    core = topology._core
+    names, succ = core.separator_lists(collapse_observers=not observers_attackable)
     if observers_attackable:
         agents = range(1, topology.n + 1)
     else:
         agents = sorted(topology.unobserved_agents)
-    net = _VertexFlowNet(gprime, OBSERVER_SINK)
+    net = _VertexFlowNet(succ, len(succ) - 1)
     counts = {}
     counterexample = None
     for i in agents:
-        size = net.max_flow(agent_id(i), cutoff=p)
-        counts[agent_id(i)] = size
+        size = net.max_flow(i - 1, cutoff=p)
+        counts[names[i - 1]] = size
         if size < p and counterexample is None:
-            witness = frozenset(net.source_side_cut())
-            bad_agents = {i}
-            bad_observers = set()
-            for node in witness:
-                try:
-                    bad_agents.add(parse_agent_id(node))
-                except ValueError:
-                    bad_observers.add(parse_observer_id(node))
-            attack = AttackScenario(compromised_agents=bad_agents,
-                                    compromised_observers=bad_observers,
-                                    p_bound=p)
-            counterexample = Counterexample(agent=agent_id(i), separator=witness,
+            cut = net.source_side_cut()
+            # vertices below n are agents, the rest observers (class xy only)
+            attack = AttackScenario(
+                compromised_agents={i} | {v + 1 for v in cut if v < topology.n},
+                compromised_observers={v - topology.n + 1 for v in cut if v >= topology.n},
+                p_bound=p)
+            counterexample = Counterexample(agent=names[i - 1],
+                                            separator=frozenset(names[v] for v in cut),
                                             attack=attack)
     robust = counterexample is None
     return RobustnessReport(robust=robust, observers_attackable=observers_attackable,

@@ -12,6 +12,17 @@ graph get "u1", "u2", ...; the separator reduction adds the sink id "o".
 All containers here are immutable or treated as read-only once built, so
 values can be shared freely across threads.
 
+Every graph derived from a topology comes from one integer core, built the
+first time it is needed and cached on the frozen ``DcsTopology``: vertex
+v < n is agent x(v+1), vertex n+k-1 is observer yk, and each vertex keeps
+its successors in a tuple. ``topology_graph``, ``build_separator_graph``
+and ``build_attack_graph`` fill their Digraphs from it, and the flow
+networks of :mod:`stealthguard.separators` are built from it without any
+Digraph. Id strings are made only at that boundary, and each comes from
+one shared source (the cached ``agent_id``, ``observer_id`` and
+``attack_input_id``), so graphs, paths and witnesses of any number of
+queries share their strings.
+
 This module, like the rest of the graph layer, needs only the standard
 library. The boolean zero patterns of the state, output and attack
 matrices (``state_pattern`` and friends, and ``topology_from_patterns``)
@@ -23,35 +34,39 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 OBSERVER_SINK = "o"
 
-_AGENT_ID = re.compile(r"^x([1-9][0-9]*)$")
-_OBSERVER_ID = re.compile(r"^y([1-9][0-9]*)$")
+_AGENT_ID = re.compile(r"x([1-9][0-9]*)")
+_OBSERVER_ID = re.compile(r"y([1-9][0-9]*)")
 
 
+@cache
 def agent_id(i: int) -> str:
     return f"x{i}"
 
 
+@cache
 def observer_id(k: int) -> str:
     return f"y{k}"
 
 
+@cache
 def attack_input_id(t: int) -> str:
     return f"u{t}"
 
 
 def parse_agent_id(node: str) -> int:
     """Agent index behind an ``x<i>`` id, or ValueError."""
-    m = _AGENT_ID.match(node)
+    m = _AGENT_ID.fullmatch(node)
     if not m:
         raise ValueError(f"not an agent id: {node!r}")
     return int(m.group(1))
 
 
 def parse_observer_id(node: str) -> int:
-    m = _OBSERVER_ID.match(node)
+    m = _OBSERVER_ID.fullmatch(node)
     if not m:
         raise ValueError(f"not an observer id: {node!r}")
     return int(m.group(1))
@@ -107,13 +122,53 @@ class Digraph:
             for v in outs:
                 yield (u, v)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._succ)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(outs) for outs in self._succ.values())
+def _digraph(names, succ) -> Digraph:
+    """Digraph on ``names`` whose vertex v has successors ``succ[v]``."""
+    g = Digraph()
+    g._succ = {v: [names[w] for w in ws] for v, ws in zip(names, succ)}
+    return g
+
+
+class _GraphCore:
+    """Integer adjacency of one topology (see the module docstring).
+
+    ``succ[v]`` lists v's successors in ``topology_graph`` order: an
+    agent's receivers ascending, its self-loop included, then the observer
+    that reads it, if any. Observers have no successors. ``names[v]`` is
+    v's id string.
+    """
+
+    __slots__ = ("n", "m", "names", "succ")
+
+    def __init__(self, topology: DcsTopology):
+        n, m = topology.n, topology.m
+        succ = [[] for _ in range(n)]
+        for a, b in sorted(topology.agent_edges):
+            succ[a - 1].append(b - 1)
+        for k, j in topology.observer_assignment.items():
+            succ[j - 1].append(n + k - 1)  # at most one observer per agent
+        self.n, self.m = n, m
+        self.names = (tuple(agent_id(i) for i in range(1, n + 1))
+                      + tuple(observer_id(k) for k in range(1, m + 1)))
+        self.succ = tuple(map(tuple, succ)) + ((),) * m
+
+    def separator_lists(self, collapse_observers: bool):
+        """(names, succ) of :func:`build_separator_graph`; the sink is last."""
+        n, m = self.n, self.m
+        if not collapse_observers:
+            return self.names + (OBSERVER_SINK,), self.succ[:n] + ((n + m,),) * m + ((),)
+        # an observer, when an agent has one, is its last successor
+        succ = [ws[:-1] + (n,) if ws[-1] >= n else ws for ws in self.succ[:n]]
+        return self.names[:n] + (OBSERVER_SINK,), succ + [()]
+
+    def attack_lists(self, scenario: AttackScenario):
+        """(names, succ) of :func:`build_attack_graph`; input t is vertex n+m+t-1."""
+        n = self.n
+        targets = ([i - 1 for i in sorted(scenario.compromised_agents)]
+                   + [n + k - 1 for k in sorted(scenario.compromised_observers)])
+        names = self.names + tuple(attack_input_id(t) for t in range(1, len(targets) + 1))
+        return names, self.succ + tuple((v,) for v in targets)
 
 
 @dataclass(frozen=True)
@@ -165,11 +220,9 @@ class DcsTopology:
     def unobserved_agents(self) -> frozenset:
         return frozenset(range(1, self.n + 1)) - self.observed_agents
 
-    def observer_of(self, agent: int) -> int | None:
-        for k, j in self.observer_assignment.items():
-            if j == agent:
-                return k
-        return None
+    @cached_property
+    def _core(self) -> _GraphCore:
+        return _GraphCore(self)
 
 
 @dataclass(frozen=True)
@@ -232,16 +285,8 @@ class StructuredSystem:
 
 def topology_graph(topology: DcsTopology) -> Digraph:
     """The communication digraph over agents and observers."""
-    g = Digraph()
-    for i in range(1, topology.n + 1):
-        g.add_node(agent_id(i))
-    for k in range(1, topology.m + 1):
-        g.add_node(observer_id(k))
-    for (a, b) in sorted(topology.agent_edges):
-        g.add_edge(agent_id(a), agent_id(b))
-    for k in sorted(topology.observer_assignment):
-        g.add_edge(agent_id(topology.observer_assignment[k]), observer_id(k))
-    return g
+    core = topology._core
+    return _digraph(core.names, core.succ)
 
 
 def build_attack_graph(sys: StructuredSystem) -> Digraph:
@@ -250,10 +295,7 @@ def build_attack_graph(sys: StructuredSystem) -> Digraph:
     Input ``u<t>`` points at the t-th attacked node (agents first, then
     observers, each block ascending). Nothing else changes.
     """
-    g = topology_graph(sys.topology)
-    for t, target in enumerate(sys.scenario.target_ids(), start=1):
-        g.add_edge(attack_input_id(t), target)
-    return g
+    return _digraph(*sys.topology._core.attack_lists(sys.scenario))
 
 
 def build_separator_graph(topology: DcsTopology, collapse_observers: bool = False) -> Digraph:
@@ -264,21 +306,7 @@ def build_separator_graph(topology: DcsTopology, collapse_observers: bool = Fals
     With it true the observers vanish and each observed agent is wired
     straight into ``o``; separators are then sets of agents only.
     """
-    if not collapse_observers:
-        g = topology_graph(topology)
-        g.add_node(OBSERVER_SINK)
-        for k in range(1, topology.m + 1):
-            g.add_edge(observer_id(k), OBSERVER_SINK)
-        return g
-    g = Digraph()
-    for i in range(1, topology.n + 1):
-        g.add_node(agent_id(i))
-    g.add_node(OBSERVER_SINK)
-    for (a, b) in sorted(topology.agent_edges):
-        g.add_edge(agent_id(a), agent_id(b))
-    for j in sorted(topology.observed_agents):
-        g.add_edge(agent_id(j), OBSERVER_SINK)
-    return g
+    return _digraph(*topology._core.separator_lists(collapse_observers))
 
 
 # ---- file format ----
@@ -392,15 +420,24 @@ def format_topology(topology: DcsTopology, p: int) -> str:
 
 
 def topology_to_json(topology: DcsTopology, p: int) -> str:
-    doc = {
-        "n": topology.n,
-        "m": topology.m,
-        "p": p,
-        "edges": [[agent_id(a), agent_id(b)] for (a, b) in sorted(topology.agent_edges)],
-        "sensors": [[observer_id(k), agent_id(topology.observer_assignment[k])]
-                    for k in sorted(topology.observer_assignment)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON form, byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
+    of the document with keys edges, m, n, p and sensors.
+
+    Written out directly: with ``indent`` set, json.dumps runs its
+    pure-Python encoder, which takes most of the time on large topologies.
+    """
+    def pairs(items):
+        if not items:
+            return "[]"
+        body = ",\n".join(f'    [\n      "{a}",\n      "{b}"\n    ]' for a, b in items)
+        return f"[\n{body}\n  ]"
+
+    edges = [(agent_id(a), agent_id(b)) for (a, b) in sorted(topology.agent_edges)]
+    sensors = [(observer_id(k), agent_id(topology.observer_assignment[k]))
+               for k in sorted(topology.observer_assignment)]
+    return (f'{{\n  "edges": {pairs(edges)},\n  "m": {json.dumps(topology.m)},\n'
+            f'  "n": {json.dumps(topology.n)},\n  "p": {json.dumps(p)},\n'
+            f'  "sensors": {pairs(sensors)}\n}}\n')
 
 
 def load_topology(path):

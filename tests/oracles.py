@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here trades speed for obvious correctness: exhaustive subset
-removal for separators, exhaustive path-family search for linkings, and
-exhaustive attack-set enumeration for robustness verdicts.
+removal for separators, exhaustive path-family search for linkings,
+exhaustive attack-set enumeration for robustness verdicts, and graphs
+built one ``Digraph.add_edge`` at a time.
 """
 
 from itertools import combinations
@@ -12,10 +13,9 @@ from stealthguard import (
     DcsTopology,
     Digraph,
     StructuredSystem,
-    build_attack_graph,
     is_structurally_left_invertible,
 )
-from stealthguard.topology import attack_input_id, observer_id
+from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id
 
 
 def reachable(graph, start):
@@ -84,10 +84,52 @@ def simple_paths_to(graph, source, sinks):
     return paths
 
 
+def reference_topology_graph(topology: DcsTopology) -> Digraph:
+    """``topology_graph`` built edge by edge: agents, then observers; sorted
+    agent edges, then each observer's edge by observer index."""
+    g = Digraph()
+    for i in range(1, topology.n + 1):
+        g.add_node(agent_id(i))
+    for k in range(1, topology.m + 1):
+        g.add_node(observer_id(k))
+    for (a, b) in sorted(topology.agent_edges):
+        g.add_edge(agent_id(a), agent_id(b))
+    for k in sorted(topology.observer_assignment):
+        g.add_edge(agent_id(topology.observer_assignment[k]), observer_id(k))
+    return g
+
+
+def reference_attack_graph(sys: StructuredSystem) -> Digraph:
+    """``build_attack_graph`` built edge by edge: input u<t> feeds the t-th target."""
+    g = reference_topology_graph(sys.topology)
+    for t, target in enumerate(sys.scenario.target_ids(), start=1):
+        g.add_edge(attack_input_id(t), target)
+    return g
+
+
+def reference_separator_graph(topology: DcsTopology, collapse_observers: bool) -> Digraph:
+    """``build_separator_graph`` built edge by edge, sink ``o`` last."""
+    if not collapse_observers:
+        g = reference_topology_graph(topology)
+        g.add_node(OBSERVER_SINK)
+        for k in range(1, topology.m + 1):
+            g.add_edge(observer_id(k), OBSERVER_SINK)
+        return g
+    g = Digraph()
+    for i in range(1, topology.n + 1):
+        g.add_node(agent_id(i))
+    g.add_node(OBSERVER_SINK)
+    for (a, b) in sorted(topology.agent_edges):
+        g.add_edge(agent_id(a), agent_id(b))
+    for j in sorted(topology.observed_agents):
+        g.add_edge(agent_id(j), OBSERVER_SINK)
+    return g
+
+
 def brute_max_linking(sys: StructuredSystem) -> int:
     """Largest family of fully vertex-disjoint paths, one per attack input,
     each ending at a distinct observer. Exhaustive branch and bound."""
-    graph = build_attack_graph(sys)
+    graph = reference_attack_graph(sys)
     sources = [attack_input_id(t) for t in range(1, sys.num_attack_inputs + 1)]
     sinks = {observer_id(k) for k in range(1, sys.topology.m + 1)}
     per_source = [simple_paths_to(graph, s, sinks) for s in sources]

@@ -329,6 +329,10 @@ MALFORMED = {
                                        "--k1", "1", "--k2", "inf"],
     "observer assigned twice": lambda d: certify_pair_json(
         d, sensors=[["y1", "x1"], ["y1", "x2"]]),
+    "agent id with a trailing newline": lambda d: certify_pair_json(
+        d, edges=[["x1\n", "x1"], ["x2", "x2"], ["x1", "x2"]]),
+    "observer id with a trailing newline": lambda d: certify_pair_json(
+        d, sensors=[["y1\n", "x2"]]),
 }
 
 

@@ -66,7 +66,7 @@ def test_synthesize_matches_formula_and_certifies():
                 for flag in (True, False):
                     res = synthesize(SynthesisSpec(n=n, m=m, p=p, observers_attackable=flag))
                     assert res.link_count == min_links_value(n, m, p, flag)
-                    assert res.chosen_m == m
+                    assert res.topology.m == m
                     assert res.certified
                     assert res.topology.link_count == res.link_count
                     report = certify_robustness(res.topology, p, observers_attackable=flag)

@@ -11,11 +11,14 @@ from stealthguard import (
     SynthesisSpec,
     build_separator_graph,
     certify_robustness,
+    format_topology,
     is_structurally_left_invertible,
     max_disjoint_paths,
     max_linking,
+    parse_topology,
     synthesize,
     synthesize_platoon,
+    topology_graph,
 )
 from stealthguard.topology import OBSERVER_SINK
 
@@ -198,6 +201,26 @@ def test_linking_matches_brute_force():
             used |= verts
             assert path[0].startswith("u") and path[-1].startswith("y")
         assert len(res.paths) == res.size
+
+
+def test_results_share_their_id_strings():
+    # every id comes from one shared source, so results kept from many
+    # queries (even on separately parsed copies of a topology) share their
+    # strings and only the tuples are new
+    t = synthesize(SynthesisSpec(n=30, m=4, p=3)).topology
+    parsed, _p = parse_topology(format_topology(t, 3))
+    first = max_linking(StructuredSystem(t, scenario(agents=[2, 17], observers=[1])))
+    again = max_linking(StructuredSystem(parsed, scenario(agents=[2, 17], observers=[1])))
+    assert first.size == 3 and first.paths == again.paths
+    for a, b in zip(first.paths, again.paths):
+        assert all(u is v for u, v in zip(a, b))
+    r1 = max_disjoint_paths(topology_graph(t), "x20", "x3")
+    r2 = max_disjoint_paths(topology_graph(parsed), "x20", "x3")
+    assert r1 == r2
+    assert all(u is v for a, b in zip(r1.disjoint_paths, r2.disjoint_paths)
+               for u, v in zip(a, b))
+    c1, c2 = (certify_robustness(top, 3) for top in (t, parsed))
+    assert all(u is v for u, v in zip(c1.per_agent_min_separator, c2.per_agent_min_separator))
 
 
 def test_left_invertibility_cases():

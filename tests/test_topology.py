@@ -27,9 +27,11 @@ from stealthguard import (
     topology_graph,
     topology_to_json,
 )
-from stealthguard.topology import OBSERVER_SINK
+from stealthguard.topology import OBSERVER_SINK, agent_id, observer_id, parse_agent_id, \
+    parse_observer_id
 
-from oracles import random_topology, reachable
+from oracles import random_topology, reachable, reference_attack_graph, \
+    reference_separator_graph, reference_topology_graph
 
 
 def ring(n, m=1, p=1):
@@ -47,7 +49,7 @@ def test_digraph_basics():
     assert g.has_node("a") and g.has_node("c")
     assert g.has_edge("a", "b") and not g.has_edge("b", "a")
     assert g.successors("a") == ["b"]
-    assert g.num_nodes == 3 and g.num_edges == 2
+    assert g.nodes() == ["a", "b", "c"]
     assert sorted(g.edges()) == [("a", "b"), ("b", "c")]
     with pytest.raises(ValueError):
         g.add_edge("a", "b")
@@ -72,7 +74,6 @@ def test_topology_accessors():
     assert t.link_count == 8
     assert t.observed_agents == frozenset({3, 4})
     assert t.unobserved_agents == frozenset({1, 2})
-    assert t.observer_of(3) == 1 and t.observer_of(1) is None
 
 
 def test_out_neighbors_isolated_self_loop():
@@ -97,9 +98,7 @@ def test_out_neighbors_matches_edge_scan():
         g = topology_graph(t)
         for i in range(1, t.n + 1):
             expect = {f"x{b}" for (a, b) in t.agent_edges if a == i}
-            k = t.observer_of(i)
-            if k is not None:
-                expect.add(f"y{k}")
+            expect |= {f"y{k}" for k, j in t.observer_assignment.items() if j == i}
             assert set(g.successors(f"x{i}")) == expect
     with pytest.raises(KeyError):
         g.successors("x999")
@@ -119,7 +118,7 @@ def test_attack_graph_adds_one_input_per_target():
     scen = AttackScenario(compromised_agents={1}, compromised_observers={2}, p_bound=2)
     sys = StructuredSystem(topology=t, scenario=scen)
     g = build_attack_graph(sys)
-    assert g.num_nodes == t.n + t.m + 2
+    assert len(g.nodes()) == t.n + t.m + 2
     assert g.has_edge("u1", "x1")
     assert g.has_edge("u2", "y2")
     assert not g.has_edge("u1", "y2")
@@ -136,7 +135,35 @@ def test_attack_graph_vertex_count():
         scen = AttackScenario(compromised_agents=agents, compromised_observers=observers,
                               p_bound=budget)
         g = build_attack_graph(StructuredSystem(topology=t, scenario=scen))
-        assert g.num_nodes == t.n + t.m + scen.num_inputs
+        assert len(g.nodes()) == t.n + t.m + scen.num_inputs
+
+
+def adjacency(g):
+    return [(v, g.successors(v)) for v in g.nodes()]
+
+
+def test_builders_match_edge_by_edge_reference():
+    rng = np.random.default_rng(12)
+    tops = [random_topology(rng, n_max=12) for _ in range(40)]
+    tops += [DcsTopology(n=0, m=0, agent_edges=(), observer_assignment={}),
+             ring(1, m=0), ring(1, m=1), ring(4, m=4)]
+    for t in tops:
+        assert adjacency(topology_graph(t)) == adjacency(reference_topology_graph(t))
+        for collapse in (False, True):
+            assert (adjacency(build_separator_graph(t, collapse_observers=collapse))
+                    == adjacency(reference_separator_graph(t, collapse)))
+        agents = {int(v) + 1 for v in rng.permutation(t.n)[: int(rng.integers(0, t.n + 1))]}
+        observers = {int(v) + 1 for v in rng.permutation(t.m)[: int(rng.integers(0, t.m + 1))]}
+        sys = StructuredSystem(t, AttackScenario(agents, observers, len(agents) + len(observers)))
+        assert adjacency(build_attack_graph(sys)) == adjacency(reference_attack_graph(sys))
+
+
+def test_built_graphs_are_independent_copies():
+    t = ring(3, m=1)
+    g = topology_graph(t)
+    g.add_edge("x1", "x3")
+    g.add_node("extra")
+    assert adjacency(topology_graph(t)) == adjacency(reference_topology_graph(t))
 
 
 def test_separator_graph_unreachable_sink_without_sensors():
@@ -245,7 +272,7 @@ sensor y1 x3
     t, p = parse_topology(text)
     assert (t.n, t.m, p) == (3, 1, 1)
     assert (1, 2) in t.agent_edges
-    assert t.observer_of(3) == 1
+    assert t.observer_assignment == {1: 3}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -298,6 +325,27 @@ def test_parse_json_rejects_observer_assigned_twice():
         parse_topology(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("edges", [["x1\n", "x1"], ["x2", "x2"], ["x1", "x2"]]),
+    ("edges", [["x1", "x1"], ["x2", "x2"], ["x1", "x2\n"]]),
+    ("sensors", [["y1\n", "x2"]]),
+    ("sensors", [["y1", "x2\n"]]),
+])
+def test_parse_json_rejects_ids_with_a_trailing_newline(field, value):
+    with pytest.raises(TopologyFormatError, match="not an (agent|observer) id"):
+        parse_topology(json.dumps(dict(PAIR_JSON, **{field: value})))
+
+
+def test_id_parsers_match_the_whole_string():
+    assert parse_agent_id("x12") == 12 and parse_observer_id("y3") == 3
+    for bad in ("x1\n", "x1 ", " x1", "x01", "x0", "x", "y1", "x1\nx2"):
+        with pytest.raises(ValueError):
+            parse_agent_id(bad)
+    for bad in ("y1\n", "y0", "x1", "y"):
+        with pytest.raises(ValueError):
+            parse_observer_id(bad)
+
+
 def test_parse_json_rejects_deep_nesting():
     with pytest.raises(TopologyFormatError, match="bad JSON"):
         parse_topology('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -329,6 +377,28 @@ def test_parse_topology_fuzz_returns_topology_or_format_error(text):
 def test_parse_rejects_missing_self_loop():
     with pytest.raises(TopologyFormatError):
         parse_topology("2 0 0\nedge x1 x1\nedge x1 x2\n")
+
+
+def reference_json(t, p):
+    doc = {"n": t.n, "m": t.m, "p": p,
+           "edges": [[agent_id(a), agent_id(b)] for (a, b) in sorted(t.agent_edges)],
+           "sensors": [[observer_id(k), agent_id(t.observer_assignment[k])]
+                       for k in sorted(t.observer_assignment)]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_topology_to_json_matches_the_indenting_encoder():
+    tops = []
+    for n in (0, 1, 2, 5, 50, 400):
+        for m in (0, 1, 3):
+            if m <= n:
+                tops.append(ring(n, m=m) if n else
+                            DcsTopology(n=0, m=0, agent_edges=(), observer_assignment={}))
+    rng = np.random.default_rng(5)
+    tops += [random_topology(rng, n_max=15) for _ in range(30)]
+    for t in tops:
+        for p in (0, 1, 3):
+            assert topology_to_json(t, p) == reference_json(t, p)
 
 
 def test_save_load_round_trip(tmp_path):
