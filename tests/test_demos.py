@@ -1,8 +1,4 @@
-"""The walkthrough demos run to completion against the source tree.
-
-Demo 05 (detector calibration, several seconds of Monte Carlo) is left out
-to keep the suite fast.
-"""
+"""The walkthrough demos run to completion against the source tree."""
 
 import os
 import subprocess
@@ -13,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_certificates.py", "02_minimal_designs.py", "03_platoon.py",
-         "04_stealthy_attack.py"]
+         "04_stealthy_attack.py", "05_detector_calibration.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

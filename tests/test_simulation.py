@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from stealthguard import (
     AttackScenario,
@@ -94,6 +95,8 @@ def test_alarm_threshold_must_be_finite_and_nonnegative(tmp_path):
             realize(sys, eta=eta)
         with pytest.raises(ValueError, match="eta"):
             dataclasses.replace(real, eta=eta)
+        with pytest.raises(ValueError, match="eta"):
+            false_alarm_rate(real, eta=eta, samples=10)
         path.write_text(saved.replace("eta 1 1\n0\n", f"eta 1 1\n{eta}\n"))
         with pytest.raises(ValueError, match="eta"):
             load_realization(path)
@@ -389,6 +392,76 @@ def test_false_alarm_rate_at_default_threshold():
     real = realize(sys, seed=14)
     rate = false_alarm_rate(real, samples=100000, seed=3)
     assert abs(rate - 0.05) <= 0.02
+
+
+def detector_only(n, m, seed, measurement_noise=None):
+    t = random_topology(np.random.default_rng(seed), n=n, m=m)
+    scen = AttackScenario(compromised_agents=set(), compromised_observers=set(), p_bound=0)
+    return realize(StructuredSystem(topology=t, scenario=scen), seed=seed,
+                   measurement_noise=measurement_noise)
+
+
+def test_false_alarm_rate_matches_the_chi_square_tail():
+    samples = 20000
+    for n, m, noise in ((3, 1, None), (5, 2, 0.5), (8, 3, None), (12, 4, 2.0),
+                        (20, 5, None), (30, 6, 0.3)):
+        real = detector_only(n, m, seed=n, measurement_noise=noise)
+        for q in (0.5, 0.9, 0.95, 0.99):
+            eta = float(stats.chi2.ppf(q, m))
+            rate = false_alarm_rate(real, eta=eta, samples=samples, burn_in=200, seed=n + m)
+            sigma = (q * (1 - q) / samples) ** 0.5
+            assert abs(rate - (1 - q)) <= 4 * sigma, (n, m, q, rate)
+
+
+def test_false_alarm_rate_counts_exactly_the_requested_samples():
+    # at eta = 0 every residue raises an alarm, so the rate is 1 exactly
+    # when the count of compared residues equals `samples`
+    real = detector_only(4, 2, seed=1)
+    for samples, burn_in in ((1, 0), (10, 5), (63, 0), (64, 1), (1000, 0),
+                             (64 * 32 + 5, 37), (3000, 100)):
+        assert false_alarm_rate(real, eta=0.0, samples=samples, burn_in=burn_in,
+                                seed=samples) == 1.0, (samples, burn_in)
+
+
+def test_false_alarm_rate_discards_the_burn_in():
+    # without noise the residues decay from each replica's random start,
+    # so only the early steps can exceed a tiny threshold
+    sys = make_system(3, 2, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)},
+                      {1: 1, 2: 3})
+    real = realize(sys, seed=5)
+    quiet = dataclasses.replace(real, Q=np.zeros((3, 3)), R=np.zeros((2, 2)))
+    assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=400) == 0.0
+    assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=0) > 0.5
+
+
+def test_false_alarm_rate_without_sensors_is_zero():
+    real = realize(make_system(2, 0, {(1, 1), (2, 2), (1, 2)}, {}), seed=0)
+    assert false_alarm_rate(real, samples=500) == 0.0
+    assert false_alarm_rate(real, eta=0.0, samples=500) == 0.0
+
+
+def test_false_alarm_rate_repeats_under_a_seed():
+    real = detector_only(6, 3, seed=2)
+    rates = [false_alarm_rate(real, samples=5000, burn_in=100, seed=s) for s in (4, 4, 5)]
+    assert rates[0] == rates[1]
+    assert rates[0] != rates[2]
+
+
+def test_false_alarm_rate_rejects_unstable_filter():
+    real = detector_only(3, 2, seed=3)
+    unstable = dataclasses.replace(real, K=-3 * real.C.T)
+    assert spectral_radius(unstable.A - unstable.K @ unstable.C @ unstable.A) >= 1
+    with pytest.raises(ValueError, match="unstable"):
+        false_alarm_rate(unstable, samples=100)
+
+
+def test_false_alarm_rate_rejects_bad_counts():
+    real = detector_only(3, 1, seed=4)
+    for kwargs in ({"samples": 0}, {"samples": -5}, {"burn_in": -1}, {"samples": 2.5},
+                   {"burn_in": 1.5}, {"samples": 100.0}, {"samples": "100"}):
+        with pytest.raises(ValueError):
+            false_alarm_rate(real, **kwargs)
+    assert false_alarm_rate(real, samples=np.int64(100), burn_in=np.int32(3)) >= 0.0
 
 
 def test_realization_round_trip(tmp_path):
