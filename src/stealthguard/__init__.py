@@ -40,7 +40,6 @@ from .topology import (
     Digraph,
     StructuredSystem,
     TopologyFormatError,
-    build_attack_graph,
     build_separator_graph,
     format_topology,
     load_topology,
@@ -72,15 +71,12 @@ __all__ = [
     "TopologyFormatError",
     "attack_output_pattern",
     "attack_state_pattern",
-    "build_attack_graph",
     "build_separator_graph",
     "certify_robustness",
-    "evaluate_transfer",
     "false_alarm_rate",
     "find_perfect_attack",
     "format_topology",
     "is_structurally_left_invertible",
-    "load_realization",
     "load_topology",
     "max_disjoint_paths",
     "max_linking",
@@ -90,44 +86,22 @@ __all__ = [
     "output_pattern",
     "parse_topology",
     "realize",
-    "save_realization",
     "save_topology",
     "simulate",
     "spectral_radius",
     "state_pattern",
     "synthesize",
     "synthesize_platoon",
-    "topology_from_patterns",
     "topology_graph",
     "topology_to_json",
     "write_trace",
 ]
 
-# Names of the numeric layer, looked up in ``simulation`` on every access
-# rather than bound here, so a replaced function (a test's monkeypatch, a
-# tracer's wrapper) is seen through the package too.
-_NUMERIC = frozenset({
-    "AttackTrace",
-    "FilterConvergenceError",
-    "NullspaceAmbiguityError",
-    "Realization",
-    "SimulationResult",
-    "attack_output_pattern",
-    "attack_state_pattern",
-    "evaluate_transfer",
-    "false_alarm_rate",
-    "find_perfect_attack",
-    "load_realization",
-    "normal_rank",
-    "output_pattern",
-    "realize",
-    "save_realization",
-    "simulate",
-    "spectral_radius",
-    "state_pattern",
-    "topology_from_patterns",
-    "write_trace",
-})
+# Names of the numeric layer: the exported names not bound above. They are
+# looked up in ``simulation`` on every access rather than bound here, so a
+# replaced function (a test's monkeypatch, a tracer's wrapper) is seen
+# through the package too.
+_NUMERIC = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name):

@@ -124,17 +124,13 @@ def cmd_certify(args) -> int:
     doc = report.to_dict()
     lines = [f"attack class: {doc['attack_class']}  budget p={p}",
              f"robust: {'yes' if report.robust else 'no'}"]
-    for agent in sorted(report.per_agent_min_separator,
-                        key=lambda a: int(a[1:])):
-        size = report.per_agent_min_separator[agent]
+    for agent, size in report.per_agent_min_separator.items():  # ascending
         label = f">={size}" if size >= p else f"{size}"
         lines.append(f"  min separator toward sensors from {agent}: {label}")
     if report.counterexample is not None:
         ce = report.counterexample
-        targets = ([f"x{i}" for i in sorted(ce.attack.compromised_agents)]
-                   + [f"y{k}" for k in sorted(ce.attack.compromised_observers)])
         lines.append(f"counterexample: deficient separator at {ce.agent}; "
-                     f"undetectable attack on {{{', '.join(targets)}}}")
+                     f"undetectable attack on {{{', '.join(ce.attack.target_ids())}}}")
     _emit(args.json, doc, lines, args.out)
     return 0 if report.robust else 1
 
@@ -195,7 +191,8 @@ def _max_abs(values) -> float:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .simulation import simulate, write_trace
+    from .simulation import _check_horizon, simulate, write_trace
+    _check_horizon(args.horizon)  # before the inputs are drawn for it
     real = _realize(args)
     if real.num_inputs:
         input_rng = np.random.default_rng([args.seed, 1])

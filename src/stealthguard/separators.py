@@ -78,11 +78,11 @@ class Counterexample:
 class RobustnessReport:
     """Verdict of :func:`certify_robustness`.
 
-    ``per_agent_min_separator`` records, for every certified agent, the
-    smallest separator cutting it off from the sensor sink, saturated at
-    ``p`` (the search stops augmenting once the budget is matched, so a
-    recorded value of p means "at least p"). The verdict is robust exactly
-    when every recorded value is >= p.
+    ``per_agent_min_separator`` records, for every certified agent in
+    ascending order, the smallest separator cutting it off from the sensor
+    sink, saturated at ``p`` (the search stops augmenting once the budget
+    is matched, so a recorded value of p means "at least p"). The verdict
+    is robust exactly when every recorded value is >= p.
     """
 
     robust: bool
@@ -103,19 +103,12 @@ class RobustnessReport:
             ce = self.counterexample
             doc["counterexample"] = {
                 "agent": ce.agent,
-                "separator": sorted(ce.separator, key=_node_sort_key),
+                # the attack is the agent plus its separator, in target order
+                "separator": [v for v in ce.attack.target_ids() if v != ce.agent],
                 "attack_agents": [agent_id(i) for i in sorted(ce.attack.compromised_agents)],
                 "attack_observers": [observer_id(k) for k in sorted(ce.attack.compromised_observers)],
             }
         return doc
-
-
-def _node_sort_key(node):
-    # "x10" after "x2": sort by kind letter, then numeric suffix when present
-    s = str(node)
-    head = s.rstrip("0123456789")
-    tail = s[len(head):]
-    return (head, int(tail) if tail else -1)
 
 
 class _VertexFlowNet:

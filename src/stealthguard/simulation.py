@@ -3,9 +3,9 @@
 This is the package's only module that imports numpy and scipy; the
 package loads it the first time one of its names is used. It also holds
 the boolean zero patterns of the state, output and attack matrices
-(``state_pattern``, ``output_pattern``, ``attack_state_pattern``,
-``attack_output_pattern``) and their inverse ``topology_from_patterns``,
-which map between the graph layer's topologies and numpy arrays.
+(``state_pattern``, ``output_pattern``, ``attack_state_pattern`` and
+``attack_output_pattern``), which map the graph layer's topologies to
+numpy arrays.
 
 A realization draws concrete coefficients for a structured system: state
 couplings land in [-1, -0.1] or [0.1, 1] before the matrix is rescaled to
@@ -194,30 +194,6 @@ def attack_output_pattern(sys: StructuredSystem) -> np.ndarray:
     return pat
 
 
-def topology_from_patterns(a_pattern, c_pattern) -> DcsTopology:
-    """Rebuild a topology from state and output patterns.
-
-    The output pattern must be in dedicated-sensor form: exactly one
-    nonzero per row and at most one per column.
-    """
-    a_pat = np.asarray(a_pattern, dtype=bool)
-    c_pat = np.asarray(c_pattern, dtype=bool)
-    if a_pat.ndim != 2 or a_pat.shape[0] != a_pat.shape[1]:
-        raise ValueError("state pattern must be square")
-    n = a_pat.shape[0]
-    if c_pat.size and c_pat.shape[1] != n:
-        raise ValueError("output pattern width must match state dimension")
-    m = c_pat.shape[0]
-    edges = {(j + 1, i + 1) for i, j in zip(*np.nonzero(a_pat))}
-    assignment = {}
-    for k in range(m):
-        cols = np.nonzero(c_pat[k])[0]
-        if len(cols) != 1:
-            raise ValueError(f"sensor row {k + 1} must read exactly one agent")
-        assignment[k + 1] = int(cols[0]) + 1
-    return DcsTopology(n=n, m=m, agent_edges=edges, observer_assignment=assignment)
-
-
 def realize(sys: StructuredSystem, seed: int = 0,
             spectral_radius_target: float = 0.9,
             process_noise=None, measurement_noise=None,
@@ -261,13 +237,6 @@ def realize(sys: StructuredSystem, seed: int = 0,
 
 
 # ---- structural rank, numerically ----
-
-def evaluate_transfer(real: Realization, z: complex) -> np.ndarray:
-    """Attack-to-output transfer matrix at one complex frequency."""
-    n = real.n
-    resolvent = np.linalg.solve(z * np.eye(n) - real.A, real.B)
-    return real.C @ resolvent + real.D
-
 
 def _is_prime(q: int) -> bool:
     """Deterministic Miller-Rabin for odd 61 < q < 4_759_123_141."""
@@ -542,6 +511,11 @@ def _quadratic_form(residues: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", residues, inv, residues)
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+
+
 def simulate(real: Realization, attack=None, seed: int = 0,
              horizon: int = 200) -> SimulationResult:
     """Run the plant, filter and detector for `horizon` steps.
@@ -552,8 +526,7 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     that noise, which is why only the noise-free deviation system is
     integrated for the difference.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     A, C, K = real.A, real.C, real.K
     n, m = real.n, real.m
     if m and spectral_radius(A - K @ C @ A) >= 1.0:
@@ -677,53 +650,7 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     return alarms / samples
 
 
-# ---- file round trips ----
-
-_MATRIX_FIELDS = ("A", "B", "C", "D", "Q", "R", "K", "residue_cov")
-
-
-def save_realization(path, real: Realization) -> None:
-    """Write all matrices to a text file, one 'name rows cols' block each."""
-    lines = ["# realization v1"]
-    for name in _MATRIX_FIELDS:
-        mat = getattr(real, name)
-        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-        for row in np.atleast_2d(mat) if mat.size else []:
-            lines.append(" ".join(f"{val:.17g}" for val in row))
-    lines.append("eta 1 1")
-    lines.append(f"{real.eta:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_realization(path) -> Realization:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.split("#", 1)[0].strip() for ln in fh]
-    rows = [r for r in rows if r]
-    mats = {}
-    i = 0
-    while i < len(rows):
-        fields = rows[i].split()
-        if len(fields) != 3:
-            raise ValueError(f"bad matrix header: {rows[i]!r}")
-        name, nr, nc = fields[0], int(fields[1]), int(fields[2])
-        data = np.zeros((nr, nc))
-        for r in range(nr):
-            if nc == 0:
-                continue
-            i += 1
-            vals = rows[i].split()
-            if len(vals) != nc:
-                raise ValueError(f"matrix {name}: row {r + 1} has {len(vals)} values, want {nc}")
-            data[r] = [float(v) for v in vals]
-        mats[name] = data
-        i += 1
-    missing = [f for f in _MATRIX_FIELDS + ("eta",) if f not in mats]
-    if missing:
-        raise ValueError(f"realization file is missing {missing}")
-    eta = float(mats.pop("eta")[0, 0])
-    return Realization(eta=eta, **{k: mats[k] for k in _MATRIX_FIELDS})
-
+# ---- trace file ----
 
 def write_trace(path, result: SimulationResult) -> None:
     """Tab-separated trace: step index, then state, estimate, output,

@@ -15,18 +15,22 @@ values can be shared freely across threads.
 Every graph derived from a topology comes from one integer core, built the
 first time it is needed and cached on the frozen ``DcsTopology``: vertex
 v < n is agent x(v+1), vertex n+k-1 is observer yk, and each vertex keeps
-its successors in a tuple. ``topology_graph``, ``build_separator_graph``
-and ``build_attack_graph`` fill their Digraphs from it, and the flow
-networks of :mod:`stealthguard.separators` are built from it without any
-Digraph. Id strings are made only at that boundary, and each comes from
-one shared source (the cached ``agent_id``, ``observer_id`` and
-``attack_input_id``), so graphs, paths and witnesses of any number of
-queries share their strings.
+its successors in a tuple. ``topology_graph`` and ``build_separator_graph``
+fill their Digraphs from it, and the flow networks of
+:mod:`stealthguard.separators` are built from it without any Digraph.
+Id strings are made only at that boundary, and each comes from one shared
+source (the cached ``agent_id``, ``observer_id`` and ``attack_input_id``),
+so graphs, paths and witnesses of any number of queries share their
+strings.
 
 This module, like the rest of the graph layer, needs only the standard
 library. The boolean zero patterns of the state, output and attack
-matrices (``state_pattern`` and friends, and ``topology_from_patterns``)
-are numpy arrays, so they live in :mod:`stealthguard.simulation`.
+matrices (``state_pattern`` and friends) are numpy arrays, so they live in
+:mod:`stealthguard.simulation`.
+
+Reading a topology file goes the other way: ``parse_topology`` turns each
+distinct id string into its index once per call, and nothing downstream
+reads an index back out of a string.
 """
 
 from __future__ import annotations
@@ -163,7 +167,9 @@ class _GraphCore:
         return self.names[:n] + (OBSERVER_SINK,), succ + [()]
 
     def attack_lists(self, scenario: AttackScenario):
-        """(names, succ) of :func:`build_attack_graph`; input t is vertex n+m+t-1."""
+        """(names, succ) of the communication graph plus one input vertex
+        per attacked node: input t is vertex n+m+t-1, named ``u<t>``, and
+        feeds the t-th of ``scenario.target_ids()``."""
         n = self.n
         targets = ([i - 1 for i in sorted(scenario.compromised_agents)]
                    + [n + k - 1 for k in sorted(scenario.compromised_observers)])
@@ -289,15 +295,6 @@ def topology_graph(topology: DcsTopology) -> Digraph:
     return _digraph(core.names, core.succ)
 
 
-def build_attack_graph(sys: StructuredSystem) -> Digraph:
-    """Communication graph plus one input node per attacked element.
-
-    Input ``u<t>`` points at the t-th attacked node (agents first, then
-    observers, each block ascending). Nothing else changes.
-    """
-    return _digraph(*sys.topology._core.attack_lists(sys.scenario))
-
-
 def build_separator_graph(topology: DcsTopology, collapse_observers: bool = False) -> Digraph:
     """Reduction graph with a single sink ``o`` behind the sensors.
 
@@ -312,58 +309,32 @@ def build_separator_graph(topology: DcsTopology, collapse_observers: bool = Fals
 # ---- file format ----
 # Line-oriented text: a header "n m p", then "edge x<i> x<j>" and
 # "sensor y<k> x<j>" records, '#' starts a comment. A JSON object with keys
-# n, m, p, edges, sensors is accepted interchangeably.
+# n, m, p, edges and sensors, each edge and sensor a two-id array, is
+# accepted interchangeably. Both readers give a header (n, m, p) and
+# (line, kind, id, id) records, and parse_topology checks the records.
 
 def parse_topology(text: str):
     """Parse topology text (or JSON); returns (DcsTopology, p)."""
-    if text.lstrip()[:1] == "{":
-        return _parse_topology_json(text)
-    header = None
-    edges = []
-    sensors = {}
-    seen_edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 3:
-                raise TopologyFormatError("header must be 'n m p'", lineno)
-            try:
-                header = tuple(int(f) for f in fields)
-            except ValueError:
-                raise TopologyFormatError("header must be three integers", lineno) from None
-            continue
-        kind = fields[0]
+    reader = _json_records if text.lstrip()[:1] == "{" else _text_records
+    (n, m, p), records = reader(text)
+    agents = _IdTable(parse_agent_id)
+    observers = _IdTable(parse_observer_id)
+    edges, sensors = {}, {}  # edges: dict keys, a set that keeps the record order
+    for line, kind, u, v in records:
+        try:
+            pair = (observers if kind == "sensor" else agents)[u], agents[v]
+        except ValueError as exc:
+            raise TopologyFormatError(str(exc), line) from None
         if kind == "edge":
-            if len(fields) != 3:
-                raise TopologyFormatError("edge record needs two agent ids", lineno)
-            try:
-                pair = (parse_agent_id(fields[1]), parse_agent_id(fields[2]))
-            except ValueError as exc:
-                raise TopologyFormatError(str(exc), lineno) from None
-            if pair in seen_edges:
+            if pair in edges:
                 raise TopologyFormatError(
-                    f"repeated edge x{pair[0]} x{pair[1]} (multi-edges are not allowed)", lineno)
-            seen_edges.add(pair)
-            edges.append(pair)
-        elif kind == "sensor":
-            if len(fields) != 3:
-                raise TopologyFormatError("sensor record needs observer and agent ids", lineno)
-            try:
-                k = parse_observer_id(fields[1])
-                j = parse_agent_id(fields[2])
-            except ValueError as exc:
-                raise TopologyFormatError(str(exc), lineno) from None
-            if k in sensors:
-                raise TopologyFormatError(f"observer y{k} assigned twice", lineno)
-            sensors[k] = j
+                    f"repeated edge x{pair[0]} x{pair[1]} (multi-edges are not allowed)", line)
+            edges[pair] = None
         else:
-            raise TopologyFormatError(f"unknown record {kind!r}", lineno)
-    if header is None:
-        raise TopologyFormatError("empty topology file")
-    n, m, p = header
+            k, j = pair
+            if k in sensors:
+                raise TopologyFormatError(f"observer y{k} assigned twice", line)
+            sensors[k] = j
     if p < 0:
         raise TopologyFormatError("attack budget p must be nonnegative")
     try:
@@ -373,7 +344,54 @@ def parse_topology(text: str):
     return top, p
 
 
-def _parse_topology_json(text: str):
+class _IdTable(dict):
+    """Index behind each id string, parsed the first time it is looked up."""
+
+    __slots__ = ("_parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, node):
+        index = self[node] = self._parse(node)
+        return index
+
+
+def _text_records(text: str):
+    """The header line's (n, m, p) and the records of the lines after it."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            if len(fields) != 3:
+                raise TopologyFormatError("header must be 'n m p'", lineno)
+            try:
+                return tuple(int(f) for f in fields), _text_body(lines)
+            except ValueError:
+                raise TopologyFormatError("header must be three integers", lineno) from None
+    raise TopologyFormatError("empty topology file")
+
+
+_RECORD_SHAPES = {"edge": "edge record needs two agent ids",
+                  "sensor": "sensor record needs observer and agent ids"}
+
+
+def _text_body(lines):
+    """Records of the lines after the header, checked for shape as they go."""
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        kind = fields[0]
+        if len(fields) != 3 or kind not in _RECORD_SHAPES:
+            raise TopologyFormatError(_RECORD_SHAPES.get(kind, f"unknown record {kind!r}"), lineno)
+        yield lineno, kind, fields[1], fields[2]
+
+
+def _json_records(text: str):
+    """The document's (n, m, p) and its edges, then its sensors, as records
+    without a line number."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
@@ -385,28 +403,19 @@ def _parse_topology_json(text: str):
         if type(doc[key]) is not int:  # bool is an int subclass; reject it too
             raise TopologyFormatError(
                 f"JSON topology key {key!r} must be an integer, got {doc[key]!r}")
-    try:
-        edges = [(parse_agent_id(a), parse_agent_id(b)) for a, b in doc["edges"]]
-        sensor_pairs = [(parse_observer_id(y), parse_agent_id(x))
-                        for y, x in doc["sensors"]]
-    except (TypeError, ValueError) as exc:
-        raise TopologyFormatError(f"bad JSON topology: {exc}") from None
-    sensors = {}
-    for k, j in sensor_pairs:
-        if k in sensors:
-            raise TopologyFormatError(f"observer y{k} assigned twice")
-        sensors[k] = j
-    if len(edges) != len(set(edges)):
-        raise TopologyFormatError("repeated edge (multi-edges are not allowed)")
-    p = doc["p"]
-    if p < 0:
-        raise TopologyFormatError("attack budget p must be nonnegative")
-    try:
-        top = DcsTopology(n=doc["n"], m=doc["m"],
-                          agent_edges=edges, observer_assignment=sensors)
-    except ValueError as exc:
-        raise TopologyFormatError(str(exc)) from None
-    return top, p
+    records = []
+    for key, kind in (("edges", "edge"), ("sensors", "sensor")):
+        entries = doc[key]
+        if type(entries) is not list:
+            raise TopologyFormatError(f"JSON topology key {key!r} must be an array")
+        for entry in entries:
+            if (type(entry) is not list or len(entry) != 2
+                    or type(entry[0]) is not str or type(entry[1]) is not str):
+                raise TopologyFormatError(
+                    f"JSON topology {key} entry must be an array of two id strings, "
+                    f"got {entry!r}")
+            records.append((None, kind, *entry))
+    return (doc["n"], doc["m"], doc["p"]), records
 
 
 def format_topology(topology: DcsTopology, p: int) -> str:
@@ -445,7 +454,6 @@ def load_topology(path):
         return parse_topology(fh.read())
 
 
-def save_topology(path, topology: DcsTopology, p: int, as_json: bool = False) -> None:
-    text = topology_to_json(topology, p) if as_json else format_topology(topology, p)
+def save_topology(path, topology: DcsTopology, p: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(format_topology(topology, p))

@@ -2,11 +2,14 @@
 
 Everything here trades speed for obvious correctness: exhaustive subset
 removal for separators, exhaustive path-family search for linkings,
-exhaustive attack-set enumeration for robustness verdicts, and graphs
-built one ``Digraph.add_edge`` at a time.
+exhaustive attack-set enumeration for robustness verdicts, graphs
+built one ``Digraph.add_edge`` at a time, and the attack-to-output
+transfer matrix evaluated in floating point.
 """
 
 from itertools import combinations
+
+import numpy as np
 
 from stealthguard import (
     AttackScenario,
@@ -100,7 +103,8 @@ def reference_topology_graph(topology: DcsTopology) -> Digraph:
 
 
 def reference_attack_graph(sys: StructuredSystem) -> Digraph:
-    """``build_attack_graph`` built edge by edge: input u<t> feeds the t-th target."""
+    """The attack graph of ``DcsTopology._core.attack_lists`` built edge by
+    edge: input u<t> feeds the t-th target."""
     g = reference_topology_graph(sys.topology)
     for t, target in enumerate(sys.scenario.target_ids(), start=1):
         g.add_edge(attack_input_id(t), target)
@@ -200,3 +204,11 @@ def random_topology(rng, n_max=5, edge_prob=0.4, n=None, m=None) -> DcsTopology:
     observed = [int(v) + 1 for v in rng.permutation(n)[:m]]
     assignment = {k + 1: observed[k] for k in range(m)}
     return DcsTopology(n=n, m=m, agent_edges=edges, observer_assignment=assignment)
+
+
+def evaluate_transfer(real, z: complex) -> np.ndarray:
+    """Attack-to-output transfer matrix C (zI - A)^-1 B + D at one complex
+    frequency: the float reference for the exact ``normal_rank``."""
+    n = real.n
+    resolvent = np.linalg.solve(z * np.eye(n) - real.A, real.B)
+    return real.C @ resolvent + real.D

@@ -19,7 +19,6 @@ from stealthguard import (
     SynthesisSpec,
     build_separator_graph,
     certify_robustness,
-    evaluate_transfer,
     false_alarm_rate,
     find_perfect_attack,
     is_structurally_left_invertible,
@@ -34,7 +33,8 @@ from stealthguard import (
 )
 from stealthguard.topology import OBSERVER_SINK
 
-from oracles import brute_min_separator, brute_robust, enumerate_attacks, random_digraph
+from oracles import brute_min_separator, brute_robust, enumerate_attacks, \
+    evaluate_transfer, random_digraph
 
 
 def test_criterion_1_disjoint_paths_match_brute_force_separators():

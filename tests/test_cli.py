@@ -276,6 +276,15 @@ def test_attack_horizon_validation(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_simulate_horizon_must_be_positive(tmp_path, capsys):
+    top = hidden_pair_file(tmp_path)
+    code, out, err = run(capsys, "simulate", "--topology", str(top),
+                         "--horizon", "-5", "--attack", "x1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: horizon must be positive\n"
+
+
 def test_missing_topology_file(capsys):
     code, _, err = run(capsys, "certify", "--topology", "/nonexistent/top.txt")
     assert code == 2
@@ -333,6 +342,10 @@ MALFORMED = {
         d, edges=[["x1\n", "x1"], ["x2", "x2"], ["x1", "x2"]]),
     "observer id with a trailing newline": lambda d: certify_pair_json(
         d, sensors=[["y1\n", "x2"]]),
+    "object-shaped edge": lambda d: certify_pair_json(
+        d, edges=[["x1", "x1"], ["x2", "x2"], {"x1": 0, "x2": 0}]),
+    "object-shaped sensor": lambda d: certify_pair_json(
+        d, sensors=[{"y1": 0, "x2": 0}]),
 }
 
 

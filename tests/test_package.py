@@ -62,6 +62,13 @@ def test_every_exported_name_is_its_defining_modules_object():
     assert set(stealthguard.__all__) <= set(dir(stealthguard))
 
 
+def test_numeric_names_are_the_exports_simulation_defines():
+    defined = {name for name in stealthguard.__all__
+               if getattr(getattr(simulation, name, None), "__module__", None)
+               == simulation.__name__}
+    assert stealthguard._NUMERIC == defined
+
+
 def test_numeric_names_import_from_the_package():
     from stealthguard import realize, state_pattern
     assert realize is simulation.realize

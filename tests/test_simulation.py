@@ -15,15 +15,12 @@ from stealthguard import (
     SynthesisSpec,
     attack_output_pattern,
     attack_state_pattern,
-    evaluate_transfer,
     false_alarm_rate,
     find_perfect_attack,
     is_structurally_left_invertible,
-    load_realization,
     normal_rank,
     output_pattern,
     realize,
-    save_realization,
     simulate,
     spectral_radius,
     state_pattern,
@@ -32,7 +29,7 @@ from stealthguard import (
 )
 from stealthguard.simulation import _is_prime, _random_prime, _rank_mod, _residues
 
-from oracles import brute_max_linking, random_topology
+from oracles import brute_max_linking, evaluate_transfer, random_topology
 
 
 def make_system(n, m, edges, sensors, agents=(), observers=()):
@@ -84,12 +81,9 @@ def test_realize_validates_arguments():
         realize(sys, process_noise=0.0, measurement_noise=0.0)
 
 
-def test_alarm_threshold_must_be_finite_and_nonnegative(tmp_path):
+def test_alarm_threshold_must_be_finite_and_nonnegative():
     sys = hidden_pair()
     real = realize(sys, seed=3, eta=0.0)
-    path = tmp_path / "real.txt"
-    save_realization(path, real)
-    saved = path.read_text()
     for eta in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eta"):
             realize(sys, eta=eta)
@@ -97,9 +91,6 @@ def test_alarm_threshold_must_be_finite_and_nonnegative(tmp_path):
             dataclasses.replace(real, eta=eta)
         with pytest.raises(ValueError, match="eta"):
             false_alarm_rate(real, eta=eta, samples=10)
-        path.write_text(saved.replace("eta 1 1\n0\n", f"eta 1 1\n{eta}\n"))
-        with pytest.raises(ValueError, match="eta"):
-            load_realization(path)
 
 
 def test_default_threshold_is_the_chi_square_95th_percentile():
@@ -462,16 +453,6 @@ def test_false_alarm_rate_rejects_bad_counts():
         with pytest.raises(ValueError):
             false_alarm_rate(real, **kwargs)
     assert false_alarm_rate(real, samples=np.int64(100), burn_in=np.int32(3)) >= 0.0
-
-
-def test_realization_round_trip(tmp_path):
-    real = realize(hidden_pair(), seed=3)
-    path = tmp_path / "real.txt"
-    save_realization(path, real)
-    back = load_realization(path)
-    for field in ("A", "B", "C", "D", "Q", "R", "K", "residue_cov"):
-        assert np.array_equal(getattr(back, field), getattr(real, field)), field
-    assert back.eta == real.eta
 
 
 def test_trace_file_layout(tmp_path):

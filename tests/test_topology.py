@@ -13,7 +13,6 @@ from stealthguard import (
     TopologyFormatError,
     attack_output_pattern,
     attack_state_pattern,
-    build_attack_graph,
     build_separator_graph,
     format_topology,
     load_topology,
@@ -23,12 +22,11 @@ from stealthguard import (
     state_pattern,
     synthesize,
     synthesize_platoon,
-    topology_from_patterns,
     topology_graph,
     topology_to_json,
 )
-from stealthguard.topology import OBSERVER_SINK, agent_id, observer_id, parse_agent_id, \
-    parse_observer_id
+from stealthguard.topology import OBSERVER_SINK, _digraph, agent_id, observer_id, \
+    parse_agent_id, parse_observer_id
 
 from oracles import random_topology, reachable, reference_attack_graph, \
     reference_separator_graph, reference_topology_graph
@@ -104,40 +102,6 @@ def test_out_neighbors_matches_edge_scan():
         g.successors("x999")
 
 
-def test_attack_graph_empty_set_is_plain_topology():
-    t = ring(3)
-    scen = AttackScenario(compromised_agents=set(), compromised_observers=set(), p_bound=0)
-    g = build_attack_graph(StructuredSystem(topology=t, scenario=scen))
-    plain = topology_graph(t)
-    assert sorted(g.nodes()) == sorted(plain.nodes())
-    assert sorted(g.edges()) == sorted(plain.edges())
-
-
-def test_attack_graph_adds_one_input_per_target():
-    t = ring(3, m=2)
-    scen = AttackScenario(compromised_agents={1}, compromised_observers={2}, p_bound=2)
-    sys = StructuredSystem(topology=t, scenario=scen)
-    g = build_attack_graph(sys)
-    assert len(g.nodes()) == t.n + t.m + 2
-    assert g.has_edge("u1", "x1")
-    assert g.has_edge("u2", "y2")
-    assert not g.has_edge("u1", "y2")
-
-
-def test_attack_graph_vertex_count():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t = random_topology(rng, n_max=6)
-        budget = int(rng.integers(0, t.n + t.m + 1))
-        agents = {int(v) + 1 for v in rng.permutation(t.n)[: int(rng.integers(0, min(budget, t.n) + 1))]}
-        rest = budget - len(agents)
-        observers = {int(v) + 1 for v in rng.permutation(t.m)[: min(rest, t.m)]}
-        scen = AttackScenario(compromised_agents=agents, compromised_observers=observers,
-                              p_bound=budget)
-        g = build_attack_graph(StructuredSystem(topology=t, scenario=scen))
-        assert len(g.nodes()) == t.n + t.m + scen.num_inputs
-
-
 def adjacency(g):
     return [(v, g.successors(v)) for v in g.nodes()]
 
@@ -154,8 +118,9 @@ def test_builders_match_edge_by_edge_reference():
                     == adjacency(reference_separator_graph(t, collapse)))
         agents = {int(v) + 1 for v in rng.permutation(t.n)[: int(rng.integers(0, t.n + 1))]}
         observers = {int(v) + 1 for v in rng.permutation(t.m)[: int(rng.integers(0, t.m + 1))]}
-        sys = StructuredSystem(t, AttackScenario(agents, observers, len(agents) + len(observers)))
-        assert adjacency(build_attack_graph(sys)) == adjacency(reference_attack_graph(sys))
+        scen = AttackScenario(agents, observers, len(agents) + len(observers))
+        assert (adjacency(_digraph(*t._core.attack_lists(scen)))
+                == adjacency(reference_attack_graph(StructuredSystem(t, scen))))
 
 
 def test_built_graphs_are_independent_copies():
@@ -208,8 +173,6 @@ def test_patterns_shapes_and_round_trip():
     assert c_pat.sum() == t.m
     # receiver indexes the row: edge (1, 2) lands in row 2, column 1
     assert a_pat[1, 0]
-    back = topology_from_patterns(a_pat, c_pat)
-    assert back == t
 
 
 def test_attack_patterns_add_input_columns():
@@ -221,13 +184,6 @@ def test_attack_patterns_add_input_columns():
     assert b_pat.shape == (3, 2) and d_pat.shape == (1, 2)
     assert b_pat[1, 0] and b_pat.sum() == 1  # u1 drives x2
     assert d_pat[0, 1] and d_pat.sum() == 1  # u2 corrupts y1
-
-
-def test_pattern_rejects_non_dedicated_sensor():
-    a_pat = np.eye(2, dtype=bool)
-    c_pat = np.array([[True, True]])
-    with pytest.raises(ValueError):
-        topology_from_patterns(a_pat, c_pat)
 
 
 def test_scenario_validation():
@@ -336,6 +292,26 @@ def test_parse_json_rejects_ids_with_a_trailing_newline(field, value):
         parse_topology(json.dumps(dict(PAIR_JSON, **{field: value})))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("edges", [["x1", "x1"], ["x2", "x2"], {"x1": 0, "x2": 0}]),
+    ("sensors", [{"y1": 0, "x2": 0}]),
+    ("edges", [["x1", "x1"], ["x2", "x2"], ["x1", "x2", "x2"]]),
+    ("edges", [["x1", "x1"], ["x2", "x2"], ["x1", 2]]),
+    ("sensors", [[1, "x2"]]),
+    ("edges", "x1 x1"),
+    ("edges", {"x1": "x1", "x2": "x2"}),
+])
+def test_parse_json_entries_must_be_two_id_arrays(field, value):
+    with pytest.raises(TopologyFormatError, match="must be an array"):
+        parse_topology(json.dumps(dict(PAIR_JSON, **{field: value})))
+
+
+def test_parse_json_repeated_edge_names_the_edge():
+    doc = dict(PAIR_JSON, edges=PAIR_JSON["edges"] + [["x1", "x2"]])
+    with pytest.raises(TopologyFormatError, match="repeated edge x1 x2"):
+        parse_topology(json.dumps(doc))
+
+
 def test_id_parsers_match_the_whole_string():
     assert parse_agent_id("x12") == 12 and parse_observer_id("y3") == 3
     for bad in ("x1\n", "x1 ", " x1", "x01", "x0", "x", "y1", "x1\nx2"):
@@ -407,8 +383,3 @@ def test_save_load_round_trip(tmp_path):
     save_topology(path, t, 1)
     t2, p2 = load_topology(path)
     assert t2 == t and p2 == 1
-    jpath = tmp_path / "ring.json"
-    save_topology(jpath, t, 1, as_json=True)
-    t3, p3 = load_topology(jpath)
-    assert t3 == t and p3 == 1
-    assert json.loads(jpath.read_text())["n"] == 5
