@@ -49,9 +49,11 @@ print("sensor reads x1, attack inputs drive x1 and x2")
 
 banner("Searching the input space for a residue-free sequence")
 trace = find_perfect_attack(real, horizon=12)
+# the inputs stop after trace.horizon steps; n more show the state settle
+dev = simulate(real, attack=trace, horizon=trace.horizon + real.n)
 print(f"found inputs over {trace.horizon} steps, "
-      f"peak state deviation {np.max(np.abs(trace.delta_states)):.3f}")
-print(f"peak residue deviation: {np.max(np.abs(trace.delta_residues)):.2e}")
+      f"peak state deviation {np.max(np.abs(dev.delta_states)):.3f}")
+print(f"peak residue deviation: {np.max(np.abs(dev.delta_residues)):.2e}")
 
 banner("Closed loop: nominal and attacked runs share every alarm")
 res = simulate(real, attack=trace, seed=21, horizon=trace.horizon)

@@ -26,9 +26,12 @@ output rows (inputs off) so a null vector stays invisible for all time
 rather than for a truncated window; its SVD supplies the witness, which
 is re-verified by simulation.
 
-Difference trajectories (attacked minus nominal) are simulated without
-noise: by linearity the noise terms cancel exactly, so Delta traces never
-depend on whether noise is switched on.
+One stepper, ``_run``, advances plant and filter for every trajectory:
+the noisy nominal run of ``simulate`` and the deviation run (nominal
+minus attacked) that ``simulate`` and the witness replay of
+``find_perfect_attack`` share. The deviation run is noise-free: by
+linearity the noise terms cancel exactly, so deviations never depend on
+whether noise is switched on.
 """
 
 from __future__ import annotations
@@ -347,52 +350,58 @@ def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
 class AttackTrace:
     """A nonzero input sequence with (numerically) zero output deviation.
 
-    All traces run over the input horizon: delta_states[k] is the state
-    deviation entering step k, delta_outputs and delta_residues the output
-    and detector deviations at step k. min_singular_value is the smallest
-    singular value of the block-Toeplitz map the inputs were taken from
-    (0.0 when that map is wider than tall): how close the float witness
-    sits to the exact null space. It reports on the witness only; the
-    existence of the attack was decided exactly.
+    inputs holds one row per step of the input horizon; the attack is off
+    after it. `simulate(real, attack=trace)` replays the deviations it
+    causes. min_singular_value is the smallest singular value of the
+    block-Toeplitz map the inputs were taken from (0.0 when that map is
+    wider than tall): how close the float witness sits to the exact null
+    space. It reports on the witness only; the existence of the attack was
+    decided exactly.
     """
 
     inputs: np.ndarray
     horizon: int
-    delta_states: np.ndarray
-    delta_outputs: np.ndarray
-    delta_residues: np.ndarray
     min_singular_value: float
 
 
-def _delta_open_loop(real: Realization, inputs: np.ndarray, steps: int):
-    """Noise-free deviation response; inputs are zero past their horizon."""
-    A, B, C, D = real.A, real.B, real.C, real.D
-    n, m = real.n, real.m
-    dx = np.zeros((steps, n))
-    dy = np.zeros((steps, m))
-    x = np.zeros(n)
-    for k in range(steps):
-        u = inputs[k] if k < len(inputs) else np.zeros(real.num_inputs)
-        dx[k] = x
-        dy[k] = C @ x - D @ u
-        x = A @ x - B @ u
-    return dx, dy
+def _run(real: Realization, x0, plant_in, sensor_in):
+    """Step plant and filter for len(plant_in) steps.
 
-
-def _delta_residues(real: Realization, dy: np.ndarray) -> np.ndarray:
-    """Detector-residue deviation driven by an output deviation."""
+    The plant is x_{k+1} = A x_k + plant_in[k] from x_0 = x0 and reads
+    y_k = C x_k + sensor_in[k]; the filter predicts from its estimate,
+    which starts at zero, and corrects by K times the residue. Returns
+    (states, estimates, outputs, residues), one row per step.
+    """
     A, C, K = real.A, real.C, real.K
-    steps = len(dy)
-    dz = np.zeros_like(dy)
-    dxh = np.zeros(real.n)
+    steps, n, m = len(plant_in), real.n, real.m
+    states = np.zeros((steps, n))
+    estimates = np.zeros((steps, n))
+    outputs = np.zeros((steps, m))
+    residues = np.zeros((steps, m))
+    x = x0
+    xh = np.zeros(n)
     for k in range(steps):
+        states[k] = x
+        y = C @ x + sensor_in[k]
+        outputs[k] = y
         if k == 0:
-            dz[0] = dy[0]  # both filters start from the same fixed estimate
+            residues[0] = y - C @ xh
         else:
-            predicted = A @ dxh
-            dz[k] = dy[k] - C @ predicted
-            dxh = predicted + K @ dz[k]
-    return dz
+            predicted = A @ xh
+            residues[k] = y - C @ predicted
+            xh = predicted + K @ residues[k]
+        estimates[k] = xh
+        x = A @ x + plant_in[k]
+    return states, estimates, outputs, residues
+
+
+def _deviation(real: Realization, inputs: np.ndarray, steps: int):
+    """Noise-free run of nominal minus attacked, with the inputs zero-padded
+    or truncated to `steps`; the attack adds B u to the plant and D u to
+    the outputs."""
+    U = np.zeros((steps, real.num_inputs))
+    U[:len(inputs)] = inputs[:steps]
+    return _run(real, np.zeros(real.n), -(U @ real.B.T), -(U @ real.D.T))
 
 
 def find_perfect_attack(real: Realization, horizon: int | None = None):
@@ -407,9 +416,10 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     deviations over horizon plus n steps; the surplus rows carry zero
     input, so a null vector keeps the output at zero forever, not just
     inside the window. The last right singular vector of that map is the
-    witness, returned as an AttackTrace scaled to unit peak state
-    deviation. If its re-simulated output deviation is not numerically
-    zero, NullspaceAmbiguityError is raised instead of a trace.
+    witness. `_run` replays it over horizon plus n steps: if the output
+    deviation is not numerically zero, NullspaceAmbiguityError is raised
+    instead of a trace; otherwise the AttackTrace holds the inputs scaled
+    to unit peak state deviation over those steps.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else int(horizon)
@@ -438,7 +448,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         _, s, vh = np.linalg.svd(M, full_matrices=wide)
         inputs = vh[-1].reshape(N, p_in)
         smallest = 0.0 if wide else float(s[-1])
-    dx, dy = _delta_open_loop(real, inputs, N + n)
+    dx, _, dy, _ = _deviation(real, inputs, N + n)
     resid = float(np.max(np.abs(dy))) if dy.size else 0.0
     if resid > 1e-8:
         raise NullspaceAmbiguityError(
@@ -448,26 +458,23 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     if peak > 1e-300:
         scale = 1.0 / peak
         inputs = inputs * scale
-        dx = dx * scale
-        dy = dy * scale
         if resid * scale > 1e-8:
             raise NullspaceAmbiguityError(
                 f"output deviation {resid * scale:.3e} after rescaling; "
                 f"smallest singular value {smallest:.3e}")
-    dz = _delta_residues(real, dy[:N])
-    return AttackTrace(inputs=inputs, horizon=N, delta_states=dx[:N],
-                       delta_outputs=dy[:N], delta_residues=dz,
-                       min_singular_value=smallest)
+    return AttackTrace(inputs=inputs, horizon=N, min_singular_value=smallest)
 
 
 # ---- closed-loop simulation ----
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Nominal and attacked trajectories under shared noise.
+    """Nominal trajectories and the deviations an attack adds under the
+    same noise.
 
-    Deviations are computed from the noise-free difference system, so the
-    attacked arrays equal nominal minus delta exactly.
+    The delta arrays are nominal minus attacked, from the noise-free
+    deviation run, so the attacked residues are residues - delta_residues
+    exactly; attacked_alarms flags them against the threshold.
     """
 
     states: np.ndarray
@@ -478,9 +485,6 @@ class SimulationResult:
     delta_states: np.ndarray
     delta_outputs: np.ndarray
     delta_residues: np.ndarray
-    attacked_states: np.ndarray
-    attacked_outputs: np.ndarray
-    attacked_residues: np.ndarray
     attacked_alarms: np.ndarray
 
     @property
@@ -523,8 +527,8 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     `attack` may be None, an AttackTrace, or an array of per-step inputs
     (zero-padded or truncated to the horizon). The nominal run draws
     process and measurement noise from Q and R; the attacked run shares
-    that noise, which is why only the noise-free deviation system is
-    integrated for the difference.
+    that noise, so the deviation run that `_run` steps for the difference
+    needs none.
     """
     _check_horizon(horizon)
     A, C, K = real.A, real.C, real.K
@@ -541,39 +545,19 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     x0 = rng.standard_normal(n)
     w = _sample_noise(rng, _noise_factor(real.Q), (horizon, n))
     v = _sample_noise(rng, _noise_factor(real.R), (horizon, m))
-    states = np.zeros((horizon, n))
-    estimates = np.zeros((horizon, n))
-    outputs = np.zeros((horizon, m))
-    residues = np.zeros((horizon, m))
-    x = x0
-    xh = np.zeros(n)
-    for k in range(horizon):
-        states[k] = x
-        y = C @ x + v[k]
-        outputs[k] = y
-        if k == 0:
-            residues[0] = y - C @ xh
-        else:
-            predicted = A @ xh
-            residues[k] = y - C @ predicted
-            xh = predicted + K @ residues[k]
-        estimates[k] = xh
-        x = A @ x + w[k]
+    states, estimates, outputs, residues = _run(real, x0, w, v)
     if inputs is None:
         dx = np.zeros((horizon, n))
         dy = np.zeros((horizon, m))
         dz = np.zeros((horizon, m))
     else:
-        dx, dy = _delta_open_loop(real, inputs, horizon)
-        dz = _delta_residues(real, dy)
+        dx, _, dy, dz = _deviation(real, inputs, horizon)
     alarms = _quadratic_form(residues, real.residue_cov) > real.eta
-    attacked_residues = residues - dz
-    attacked_alarms = _quadratic_form(attacked_residues, real.residue_cov) > real.eta
+    attacked_alarms = _quadratic_form(residues - dz, real.residue_cov) > real.eta
     return SimulationResult(
         states=states, estimates=estimates, outputs=outputs, residues=residues,
         alarms=alarms, delta_states=dx, delta_outputs=dy, delta_residues=dz,
-        attacked_states=states - dx, attacked_outputs=outputs - dy,
-        attacked_residues=attacked_residues, attacked_alarms=attacked_alarms)
+        attacked_alarms=attacked_alarms)
 
 
 # Replicas that false_alarm_rate steps side by side, and the steps of noise

