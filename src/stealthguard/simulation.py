@@ -29,7 +29,8 @@ is re-verified by simulation.
 One stepper, ``_run``, advances plant and filter for every trajectory:
 the noisy nominal run of ``simulate`` and the deviation run (nominal
 minus attacked) that ``simulate`` and the witness replay of
-``find_perfect_attack`` share. The deviation run is noise-free: by
+``find_perfect_attack`` share. Its filter updates from the first
+measurement on. The deviation run is noise-free: by
 linearity the noise terms cancel exactly, so deviations never depend on
 whether noise is switched on.
 """
@@ -368,9 +369,11 @@ def _run(real: Realization, x0, plant_in, sensor_in):
     """Step plant and filter for len(plant_in) steps.
 
     The plant is x_{k+1} = A x_k + plant_in[k] from x_0 = x0 and reads
-    y_k = C x_k + sensor_in[k]; the filter predicts from its estimate,
-    which starts at zero, and corrects by K times the residue. Returns
-    (states, estimates, outputs, residues), one row per step.
+    y_k = C x_k + sensor_in[k]. The filter's estimate starts at zero and
+    updates from step 0 on: it predicts A times the last estimate, and
+    corrects the prediction by K times the residue y_k - C prediction,
+    so the first residue is y_0. Returns (states, estimates, outputs,
+    residues), one row per step.
     """
     A, C, K = real.A, real.C, real.K
     steps, n, m = len(plant_in), real.n, real.m
@@ -384,12 +387,9 @@ def _run(real: Realization, x0, plant_in, sensor_in):
         states[k] = x
         y = C @ x + sensor_in[k]
         outputs[k] = y
-        if k == 0:
-            residues[0] = y - C @ xh
-        else:
-            predicted = A @ xh
-            residues[k] = y - C @ predicted
-            xh = predicted + K @ residues[k]
+        predicted = A @ xh
+        residues[k] = y - C @ predicted
+        xh = predicted + K @ residues[k]
         estimates[k] = xh
         x = A @ x + plant_in[k]
     return states, estimates, outputs, residues
@@ -591,8 +591,7 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     The filter is stepped in prediction-error form: with e the state minus
     its one-step prediction, the residue is z = C e + v and the next error
     is (A - AKC) e + w - AK v, so plant and estimate need not be stored
-    apart. Unlike `simulate`, the filter also updates on the first
-    measurement.
+    apart.
     """
     samples = _whole_number(samples, "samples")
     burn_in = _whole_number(burn_in, "burn_in")

@@ -304,10 +304,12 @@ def test_simulate_filter_recursion_and_first_residue():
     sys = make_system(2, 1, {(1, 1), (2, 2), (1, 2)}, {1: 2})
     real = realize(sys, seed=6)
     res = simulate(real, seed=12, horizon=30)
-    # the estimate starts pinned at zero, so the first residue is raw output
-    assert np.array_equal(res.residues[0], res.outputs[0])
-    assert np.array_equal(res.estimates[0], np.zeros(2))
+    # the prior estimate is zero, so the first residue is the raw output,
+    # and the filter already corrects by it at step 0
     A, C, K = real.A, real.C, real.K
+    assert np.array_equal(res.residues[0], res.outputs[0])
+    assert np.array_equal(res.estimates[0], K @ res.residues[0])
+    assert np.any(res.estimates[0])
     for k in range(1, 30):
         pred = A @ res.estimates[k - 1]
         assert np.array_equal(res.residues[k], res.outputs[k] - C @ pred)
@@ -338,6 +340,38 @@ def test_perfect_attack_leaves_alarms_untouched():
     assert np.array_equal(res.alarms, res.attacked_alarms)
     assert np.max(np.abs(res.delta_residues)) <= 1e-8
     assert np.max(np.abs(res.delta_states)) >= 1e-3
+
+
+def test_attacked_run_matches_an_independent_replay():
+    # nominal minus deviation must equal the attacked plant and filter,
+    # stepped here from scratch under the nominal run's own noise
+    sys = make_system(3, 2, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)},
+                      {1: 1, 2: 3}, agents=[1, 2], observers=[2])
+    real = realize(sys, seed=5, measurement_noise=0.3)
+    A, B, C, D, K = real.A, real.B, real.C, real.D, real.K
+    steps = 40
+    inputs = np.random.default_rng(8).standard_normal((25, real.num_inputs))
+    res = simulate(real, attack=inputs, seed=11, horizon=steps)
+    w = res.states[1:] - res.states[:-1] @ A.T
+    v = res.outputs - res.states @ C.T
+    assert np.any(w) and np.any(v)
+    x, xh = res.states[0], np.zeros(real.n)
+    states, residues = [], []
+    for k in range(steps):
+        u = inputs[k] if k < len(inputs) else np.zeros(real.num_inputs)
+        predicted = A @ xh
+        z = C @ x + D @ u + v[k] - C @ predicted
+        xh = predicted + K @ z
+        states.append(x)
+        residues.append(z)
+        if k + 1 < steps:
+            x = A @ x + B @ u + w[k]
+    states, residues = np.array(states), np.array(residues)
+    assert np.max(np.abs(states - (res.states - res.delta_states))) <= 1e-9
+    assert np.max(np.abs(residues - (res.residues - res.delta_residues))) <= 1e-9
+    assert np.max(np.abs(res.delta_residues)) > 1e-3
+    weighted = np.einsum("ki,ij,kj->k", residues, np.linalg.inv(real.residue_cov), residues)
+    assert np.array_equal(res.attacked_alarms, weighted > real.eta)
 
 
 def test_deviation_is_noise_independent():
