@@ -30,9 +30,9 @@ One stepper, ``_run``, advances plant and filter for every trajectory:
 the noisy nominal run of ``simulate`` and the deviation run (nominal
 minus attacked) that ``simulate`` and the witness replay of
 ``find_perfect_attack`` share. Its filter updates from the first
-measurement on. The deviation run is noise-free: by
-linearity the noise terms cancel exactly, so deviations never depend on
-whether noise is switched on.
+measurement on. The deviation run is noise-free: by linearity the noise
+terms cancel exactly, so deviations never depend on whether noise is
+switched on.
 """
 
 from __future__ import annotations
@@ -112,6 +112,20 @@ class Realization:
     @property
     def num_inputs(self) -> int:
         return self.B.shape[1]
+
+
+def _whole_number(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_horizon(horizon) -> int:
+    horizon = _whole_number(horizon, "horizon")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    return horizon
 
 
 def _as_cov(value, dim: int, default: float) -> np.ndarray:
@@ -334,6 +348,7 @@ def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
     that minor's coefficients, so each draw errs with a tiny probability.
     No float threshold takes part.
     """
+    trials = _whole_number(trials, "trials")
     if trials < 3:
         raise ValueError("need at least 3 evaluation points")
     rng = np.random.default_rng(seed)
@@ -369,11 +384,11 @@ def _run(real: Realization, x0, plant_in, sensor_in):
     """Step plant and filter for len(plant_in) steps.
 
     The plant is x_{k+1} = A x_k + plant_in[k] from x_0 = x0 and reads
-    y_k = C x_k + sensor_in[k]. The filter's estimate starts at zero and
-    updates from step 0 on: it predicts A times the last estimate, and
-    corrects the prediction by K times the residue y_k - C prediction,
-    so the first residue is y_0. Returns (states, estimates, outputs,
-    residues), one row per step.
+    y_k = C x_k + sensor_in[k]. The filter starts from a zero estimate
+    and updates from step 0 on: the residue is y_k minus C times the
+    prediction A xhat_{k-1}, and xhat_k is the prediction plus K times the
+    residue, so the first residue is y_0. Returns (states, estimates,
+    outputs, residues), one row per step.
     """
     A, C, K = real.A, real.C, real.K
     steps, n, m = len(plant_in), real.n, real.m
@@ -422,7 +437,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     to unit peak state deviation over those steps.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
-    N = 2 * n if horizon is None else int(horizon)
+    N = 2 * n if horizon is None else _check_horizon(horizon)
     if N < 2 * n:
         raise ValueError("horizon must be at least twice the state dimension")
     if p_in == 0 or normal_rank(real) == p_in:
@@ -515,11 +530,6 @@ def _quadratic_form(residues: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", residues, inv, residues)
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-
-
 def simulate(real: Realization, attack=None, seed: int = 0,
              horizon: int = 200) -> SimulationResult:
     """Run the plant, filter and detector for `horizon` steps.
@@ -530,7 +540,7 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     that noise, so the deviation run that `_run` steps for the difference
     needs none.
     """
-    _check_horizon(horizon)
+    horizon = _check_horizon(horizon)
     A, C, K = real.A, real.C, real.K
     n, m = real.n, real.m
     if m and spectral_radius(A - K @ C @ A) >= 1.0:
@@ -564,13 +574,6 @@ def simulate(real: Realization, attack=None, seed: int = 0,
 # it draws per block (64 replicas, 32 steps and n=30 make a 0.5 MB block).
 _REPLICAS = 64
 _NOISE_BLOCK = 32
-
-
-def _whole_number(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def false_alarm_rate(real: Realization, eta: float | None = None,

@@ -289,6 +289,21 @@ def test_perfect_attack_horizon_validation():
     assert longer is not None and longer.horizon == 6
 
 
+@pytest.mark.parametrize("call, kwargs", [
+    (find_perfect_attack, {"horizon": 6.7}),
+    (find_perfect_attack, {"horizon": "8"}),
+    (simulate, {"horizon": 2.5}),
+    (normal_rank, {"trials": 7.5}),
+], ids=["attack-float-horizon", "attack-str-horizon", "simulate-float-horizon",
+        "rank-float-trials"])
+def test_count_arguments_must_be_integers(call, kwargs):
+    real = realize(hidden_pair(), seed=3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(real, **kwargs)
+    whole = {name: np.int64(int(float(value))) for name, value in kwargs.items()}
+    call(real, **whole)
+
+
 def test_simulate_without_attack_has_zero_deviation():
     sys = make_system(3, 1, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}, {1: 3})
     real = realize(sys, seed=2)
