@@ -368,11 +368,12 @@ class AttackTrace:
 
     inputs holds one row per step of the input horizon; the attack is off
     after it. `simulate(real, attack=trace)` replays the deviations it
-    causes. min_singular_value is the smallest singular value of the
-    block-Toeplitz map the inputs were taken from (0.0 when that map is
-    wider than tall): how close the float witness sits to the exact null
-    space. It reports on the witness only; the existence of the attack was
-    decided exactly.
+    causes through `_run`, the stepper that checked the witness, whose
+    filter updates from step 0. min_singular_value is the smallest
+    singular value of the block-Toeplitz map the inputs were taken from
+    (0.0 when that map is wider than tall): how close the float witness
+    sits to the exact null space. It reports on the witness only; the
+    existence of the attack was decided exactly.
     """
 
     inputs: np.ndarray
@@ -484,8 +485,8 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Nominal trajectories and the deviations an attack adds under the
-    same noise.
+    """Nominal trajectories, and their deviations from an attacked run
+    under the same noise.
 
     The delta arrays are nominal minus attacked, from the noise-free
     deviation run, so the attacked residues are residues - delta_residues
