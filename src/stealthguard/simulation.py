@@ -15,16 +15,20 @@ chi-square residue detector with threshold eta.
 
 The stealthy-input search asks whether some nonzero attack sequence
 produces exactly zero output deviation. That happens exactly when the
-attack-to-output transfer matrix loses column rank, and the rank is
-decided in exact arithmetic: every double is a dyadic rational, so the
-Rosenbrock pencil [zI-A, -B; C, D] reduces exactly modulo a prime q, and
-its rank over GF(q) at a random z is a lower bound on its generic rank.
-Full rank therefore proves that no stealthy input exists, with no float
-threshold involved. Only a rank-deficient realization builds the
-block-Toeplitz map from inputs to output deviations, with extra trailing
-output rows (inputs off) so a null vector stays invisible for all time
-rather than for a truncated window; its SVD supplies the witness, which
-is re-verified by simulation.
+attack-to-output transfer matrix loses column rank. Only the r states
+that the attacked agents reach along nonzero entries of A enter that
+matrix; the rest stay exactly zero for every input, so the decision and
+the search both work on this reachable part, however large the rest of
+the system is. The rank is decided in exact arithmetic: every double is
+a dyadic rational, so the Rosenbrock pencil [zI-A, -B; C, D] of the
+reachable part reduces exactly modulo a prime q, and its rank over GF(q)
+at a random z is a lower bound on its generic rank. Full rank therefore
+proves that no stealthy input exists, with no float threshold involved.
+Only a rank-deficient realization builds the block-Toeplitz map from 2r
+input steps to the output deviations of the reachable part, with r extra
+trailing output rows (inputs off) so a null vector stays invisible for
+all time rather than for a truncated window; its SVD supplies the
+witness, which is re-verified by simulating the whole system.
 
 One stepper, ``_run``, advances plant and filter for every trajectory:
 the noisy nominal run of ``simulate`` and the deviation run (nominal
@@ -132,12 +136,14 @@ def _as_cov(value, dim: int, default: float) -> np.ndarray:
     if value is None:
         return np.eye(dim) * default
     if np.isscalar(value):
-        if value < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= value < np.inf:  # also false for NaN
+            raise ValueError(f"noise variance must be finite and nonnegative, got {value}")
         return np.eye(dim) * float(value)
     cov = np.array(value, dtype=float)
     if cov.shape != (dim, dim):
         raise ValueError(f"covariance must be {dim}x{dim}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance entries must be finite")
     if not np.allclose(cov, cov.T):
         raise ValueError("covariance must be symmetric")
     if cov.size and np.min(np.linalg.eigvalsh(cov)) < -1e-10:
@@ -222,7 +228,9 @@ def realize(sys: StructuredSystem, seed: int = 0,
     rescaled so its spectral radius hits the target (default 0.9, must be
     inside the unit circle). Process noise defaults to the identity,
     measurement noise to zero, and eta to the 95th percentile of a
-    chi-square with one degree of freedom per sensor.
+    chi-square with one degree of freedom per sensor. A noise given as a
+    scalar variance must be finite and nonnegative, one given as a
+    covariance matrix finite, symmetric and positive semidefinite.
     """
     if not 0 < spectral_radius_target < 1:
         raise ValueError("spectral radius target must lie in (0, 1)")
@@ -321,30 +329,52 @@ def _rank_mod(mat: np.ndarray, q: int) -> int:
     return rank
 
 
-def _pencil_rank(real: Realization, rng) -> int:
+def _reachable_part(real: Realization):
+    """A, B and C restricted to the r states that the attack reaches.
+
+    The attacked states are those some column of B drives; every state
+    they feed along a nonzero entry of A (row = receiver) is reached too.
+    That set is closed under successors and the other states are never
+    driven, so they stay exactly zero for every input: the restriction,
+    in the states' original order, has the same transfer matrix
+    D + C (zI-A)^-1 B as the whole system.
+    """
+    feeds = real.A != 0
+    reached = np.any(real.B != 0, axis=1)
+    frontier = reached
+    while frontier.any():
+        frontier = np.any(feeds[:, frontier], axis=1) & ~reached
+        reached = reached | frontier
+    states = np.flatnonzero(reached)
+    return real.A[np.ix_(states, states)], real.B[states], real.C[:, states]
+
+
+def _pencil_rank(A, B, C, D, rng) -> int:
     """Rank of the Rosenbrock pencil [zI-A, -B; C, D] over GF(q), for a
-    random prime q < 2**31 and a random z in GF(q). It never exceeds the
-    pencil's rank over the rationals in z, which is n plus the normal rank
-    of the transfer matrix D + C (zI-A)^-1 B."""
+    random prime q < 2**31 and a random z in GF(q), minus the r states of
+    A. It never exceeds the normal rank of the transfer matrix
+    D + C (zI-A)^-1 B over the rationals in z."""
     q = _random_prime(rng)
     z = int(rng.integers(q))
-    pencil = _residues(np.block([[-real.A, -real.B], [real.C, real.D]]), q)
-    diagonal = np.arange(real.n)
+    pencil = _residues(np.block([[-A, -B], [C, D]]), q)
+    diagonal = np.arange(len(A))
     pencil[diagonal, diagonal] = (pencil[diagonal, diagonal] + z) % q
-    return _rank_mod(pencil, q)
+    return _rank_mod(pencil, q) - len(A)
 
 
 def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
     """Generic rank of the attack-to-output transfer matrix, decided exactly.
 
-    Each trial takes the rank of the Rosenbrock pencil over GF(q) at a
-    random point z, for a fresh random prime q < 2**31, and subtracts n.
-    That is a lower bound on the generic rank, so reaching the number of
-    attack inputs ends the loop and proves the map has full column rank:
-    no stealthy input exists. A deficient rank is returned only after
+    Only the r states the attack reaches enter the transfer matrix, so
+    the pencil is built from that part (`_reachable_part`). Each trial
+    takes the rank of the Rosenbrock pencil over GF(q) at a random point
+    z, for a fresh random prime q < 2**31, and subtracts r. That is a
+    lower bound on the generic rank, so reaching the number of attack
+    inputs ends the loop and proves the map has full column rank: no
+    stealthy input exists. A deficient rank is returned only after
     `trials` independent (z, q) draws all fell short, the largest seen. A
     draw falls short of the true rank only when z is a root of a nonzero
-    minor (at most n of the q points; Schwartz-Zippel) or q divides all of
+    minor (at most r of the q points; Schwartz-Zippel) or q divides all of
     that minor's coefficients, so each draw errs with a tiny probability.
     No float threshold takes part.
     """
@@ -352,9 +382,10 @@ def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
     if trials < 3:
         raise ValueError("need at least 3 evaluation points")
     rng = np.random.default_rng(seed)
+    A, B, C = _reachable_part(real)
     best = 0
     for _ in range(trials):
-        best = max(best, _pencil_rank(real, rng) - real.n)
+        best = max(best, _pencil_rank(A, B, C, real.D, rng))
         if best == real.num_inputs:
             break
     return best
@@ -370,9 +401,10 @@ class AttackTrace:
     after it. `simulate(real, attack=trace)` replays the deviations it
     causes through `_run`, the stepper that checked the witness, whose
     filter updates from step 0. min_singular_value is the smallest
-    singular value of the block-Toeplitz map the inputs were taken from
-    (0.0 when that map is wider than tall): how close the float witness
-    sits to the exact null space. It reports on the witness only; the
+    singular value of the block-Toeplitz map the inputs were taken from,
+    the one of the reachable part that `find_perfect_attack` builds (0.0
+    when that map is wider than tall): how close the float witness sits
+    to the exact null space. It reports on the witness only; the
     existence of the attack was decided exactly.
     """
 
@@ -425,17 +457,22 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
 
     Whether one exists is decided exactly by `normal_rank`: full column
     rank returns None at once, with no float threshold and without
-    building any map. A rank-deficient realization has a stealthy input
-    that lasts at most n + 1 steps, so it fits in `horizon` steps (default
-    twice the state dimension, the minimum accepted). For it, the search
-    builds the lower block-triangular map from those inputs to output
-    deviations over horizon plus n steps; the surplus rows carry zero
-    input, so a null vector keeps the output at zero forever, not just
-    inside the window. The last right singular vector of that map is the
-    witness. `_run` replays it over horizon plus n steps: if the output
-    deviation is not numerically zero, NullspaceAmbiguityError is raised
-    instead of a trace; otherwise the AttackTrace holds the inputs scaled
-    to unit peak state deviation over those steps.
+    building any map. A rank-deficient transfer matrix G has a stealthy
+    input that lasts at most r + 1 steps, r being the number of states
+    the attack reaches: a minimal polynomial basis of G's null space has
+    degrees at most G's McMillan degree, which is at most r. So the search
+    works on that reachable part alone (`_reachable_part`). It builds the
+    lower block-triangular map from L = 2r inputs (at least 1, at most
+    `horizon`) to output deviations over L + r steps, from the Markov
+    parameters D and C A^k B; the r surplus rows carry zero input, so a
+    null vector leaves the reached states unobservable and keeps the
+    output at zero forever, not just inside the window. The last right
+    singular vector of that map, zero-padded to `horizon` steps (default
+    twice the state dimension, the minimum accepted), is the witness.
+    `_run` replays it on the whole system over horizon plus n steps: if
+    the output deviation is not numerically zero, NullspaceAmbiguityError
+    is raised instead of a trace; otherwise the AttackTrace holds the
+    inputs scaled to unit peak state deviation over those steps.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else _check_horizon(horizon)
@@ -443,26 +480,29 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         raise ValueError("horizon must be at least twice the state dimension")
     if p_in == 0 or normal_rank(real) == p_in:
         return None
+    inputs = np.zeros((N, p_in))
     if m == 0:
-        inputs = np.zeros((N, p_in))
         inputs[0, 0] = 1.0
         smallest = 0.0
     else:
+        A, B, C = _reachable_part(real)
+        r = len(A)
+        L = min(N, max(2 * r, 1))
         blocks = [real.D]
-        power = np.eye(n)
-        for _ in range(N + n - 1):
-            blocks.append(real.C @ power @ real.B)
-            power = real.A @ power
-        M = np.zeros(((N + n) * m, N * p_in))
-        for kb in range(N + n):
-            for jb in range(min(kb, N - 1) + 1):
+        observability = C  # C A^k, m x r
+        for _ in range(L + r - 1):
+            blocks.append(observability @ B)
+            observability = observability @ A
+        M = np.zeros(((L + r) * m, L * p_in))
+        for kb in range(L + r):
+            for jb in range(min(kb, L - 1) + 1):
                 M[kb * m:(kb + 1) * m, jb * p_in:(jb + 1) * p_in] = blocks[kb - jb]
         # A tall map's economy SVD has the same s and vh as the full one and
-        # skips the (N+n)m-square U; a wide map needs the full vh, whose
+        # skips the (L+r)m-square U; a wide map needs the full vh, whose
         # extra rows span the null space the economy vh leaves out.
         wide = M.shape[0] < M.shape[1]
         _, s, vh = np.linalg.svd(M, full_matrices=wide)
-        inputs = vh[-1].reshape(N, p_in)
+        inputs[:L] = vh[-1].reshape(L, p_in)
         smallest = 0.0 if wide else float(s[-1])
     dx, _, dy, _ = _deviation(real, inputs, N + n)
     resid = float(np.max(np.abs(dy))) if dy.size else 0.0
@@ -535,8 +575,8 @@ def simulate(real: Realization, attack=None, seed: int = 0,
              horizon: int = 200) -> SimulationResult:
     """Run the plant, filter and detector for `horizon` steps.
 
-    `attack` may be None, an AttackTrace, or an array of per-step inputs
-    (zero-padded or truncated to the horizon). The nominal run draws
+    `attack` may be None, an AttackTrace, or an array of finite per-step
+    inputs (zero-padded or truncated to the horizon). The nominal run draws
     process and measurement noise from Q and R; the attacked run shares
     that noise, so the deviation run that `_run` steps for the difference
     needs none.
@@ -552,6 +592,8 @@ def simulate(real: Realization, attack=None, seed: int = 0,
         inputs = attack.inputs if isinstance(attack, AttackTrace) else np.asarray(attack, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != real.num_inputs:
             raise ValueError(f"attack inputs must have {real.num_inputs} columns")
+        if not np.all(np.isfinite(inputs)):
+            raise ValueError("attack inputs must be finite")
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(n)
     w = _sample_noise(rng, _noise_factor(real.Q), (horizon, n))

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stealthguard import (
     false_alarm_rate,
     find_perfect_attack,
     is_structurally_left_invertible,
+    load_topology,
     normal_rank,
     output_pattern,
     realize,
@@ -287,6 +289,109 @@ def test_perfect_attack_horizon_validation():
         find_perfect_attack(real, horizon=3)
     longer = find_perfect_attack(real, horizon=6)
     assert longer is not None and longer.horizon == 6
+
+
+def with_unreached_agents(n, m, edges, sensors, agents):
+    """The system plus a disjoint two-agent component with its own sensor,
+    and an upstream agent that feeds agent 1; the attack reaches none of
+    the three."""
+    extra = {(n + 1, n + 1), (n + 2, n + 2), (n + 1, n + 2), (n + 3, n + 3), (n + 3, 1)}
+    return make_system(n + 3, m + 1, set(edges) | extra, {**sensors, m + 1: n + 2},
+                       agents=agents)
+
+
+@pytest.mark.parametrize("base", [
+    (2, 1, {(1, 1), (2, 2), (2, 1)}, {1: 1}, [1, 2]),  # deficient
+    (2, 2, {(1, 1), (2, 2), (1, 2)}, {1: 1, 2: 2}, [1, 2]),  # invertible
+    (3, 1, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}, {1: 3}, [1]),  # invertible chain
+], ids=["deficient", "invertible", "chain"])
+def test_unreached_agents_change_neither_rank_nor_witness(base):
+    small = make_system(*base[:4], agents=base[4])
+    large = with_unreached_agents(*base)
+    assert (is_structurally_left_invertible(small)
+            == is_structurally_left_invertible(large))
+    for seed in range(5):
+        real_small, real_large = realize(small, seed=seed), realize(large, seed=seed)
+        assert normal_rank(real_small, seed=seed) == normal_rank(real_large, seed=seed)
+        found_small = find_perfect_attack(real_small) is not None
+        assert found_small == (find_perfect_attack(real_large) is not None)
+        assert found_small == (not is_structurally_left_invertible(small))
+
+
+def test_witness_lasts_at_most_twice_the_reached_states():
+    # the attack reaches agents 1 and 2 of 5, so only rows 0-3 may be nonzero
+    real = realize(with_unreached_agents(2, 1, {(1, 1), (2, 2), (2, 1)}, {1: 1}, [1, 2]),
+                   seed=3)
+    for horizon in (None, 40):
+        trace = find_perfect_attack(real, horizon=horizon)
+        assert trace.inputs.shape == (trace.horizon, 2)
+        assert np.any(trace.inputs[:4])
+        assert not np.any(trace.inputs[4:])
+        steps = trace.horizon + real.n
+        assert _replayed_output_deviation(real, trace.inputs, steps) <= 1e-8
+
+
+def test_sensor_only_attack_has_full_rank_and_no_witness():
+    sys = make_system(2, 2, {(1, 1), (2, 2), (1, 2)}, {1: 1, 2: 2}, observers=[1, 2])
+    for seed in range(3):
+        real = realize(sys, seed=seed)
+        assert normal_rank(real) == real.num_inputs == 2
+        assert find_perfect_attack(real) is None
+
+
+def test_input_that_drives_nothing_is_a_witness():
+    real = Realization(
+        A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]),
+        D=np.zeros((1, 1)), Q=np.eye(2), R=np.zeros((1, 1)), K=np.zeros((2, 1)),
+        residue_cov=np.eye(1), eta=3.84)
+    assert normal_rank(real) == 0
+    trace = find_perfect_attack(real)
+    assert trace is not None and trace.horizon == 4
+    assert abs(trace.inputs[0, 0]) == pytest.approx(1.0)
+    assert not np.any(trace.inputs[1:])
+
+
+def test_attacked_agent_that_reaches_no_sensor_is_a_witness():
+    sys = make_system(2, 1, {(1, 1), (2, 2)}, {1: 1}, agents=[2])
+    real = realize(sys, seed=1)
+    assert normal_rank(real) == 0
+    trace = find_perfect_attack(real)
+    assert trace is not None
+    res = simulate(real, attack=trace, horizon=trace.horizon + real.n)
+    assert not np.any(res.delta_residues)
+    assert np.max(np.abs(res.delta_states)) == pytest.approx(1.0)
+
+
+def test_long_horizon_witness_on_the_cut_design():
+    topology, _ = load_topology(Path(__file__).resolve().parent / "golden" / "inputs" / "cut.txt")
+    scen = AttackScenario(compromised_agents={2, 4}, compromised_observers=set(), p_bound=2)
+    real = realize(StructuredSystem(topology=topology, scenario=scen), seed=0)
+    horizon = 100 * real.n
+    trace = find_perfect_attack(real, horizon=horizon)
+    assert trace.horizon == horizon and trace.inputs.shape == (horizon, 2)
+    assert _replayed_output_deviation(real, trace.inputs, horizon + real.n) <= 1e-8
+
+
+def test_noise_variances_must_be_finite_and_nonnegative():
+    sys = hidden_pair()
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        for kwargs in ({"process_noise": bad}, {"measurement_noise": bad}):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                realize(sys, **kwargs)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            realize(sys, process_noise=np.diag([1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            realize(sys, measurement_noise=np.array([[bad]]))
+
+
+def test_simulate_rejects_non_finite_attack_inputs():
+    real = realize(hidden_pair(), seed=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        attack = np.zeros((5, 2))
+        attack[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            simulate(real, attack=attack, horizon=10)
 
 
 @pytest.mark.parametrize("call, kwargs", [
