@@ -10,9 +10,9 @@ and the simulation layer produces concrete weight matrices, stealthy
 input sequences, and detector traces that witness them.
 
 The graph layer (topology, separators, design) needs only the standard
-library. The numeric layer, ``simulation``, needs numpy and scipy and is
-loaded the first time one of its names is looked up here, so graph-only
-programs never import either.
+library. The numeric layer, ``simulation``, needs numpy and is loaded
+the first time one of its names is looked up here, so graph-only
+programs never import it.
 """
 
 from .design import (

@@ -8,14 +8,15 @@ fixed seed; the default seed is overridden by the STEALTHGUARD_SEED
 environment variable.
 
 Only simulate and attack use the numeric layer; they import it, and with
-it numpy and scipy, when they run, so the graph-only commands start on
-the standard library alone.
+it numpy, when they run, so the graph-only commands start on the
+standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -64,6 +65,13 @@ def _load_system(args) -> StructuredSystem:
     rejects targets outside the topology."""
     topology, _file_p = load_topology(args.topology)
     return StructuredSystem(topology=topology, scenario=_parse_attack_ids(args.attack))
+
+
+def _check_eta(eta) -> None:
+    """Refuse a bad --eta before the numeric layer loads; Realization
+    applies the same check to every threshold it is given."""
+    if eta is not None and not 0 <= eta < math.inf:  # also false for NaN
+        raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")
 
 
 def _realize(args):
@@ -189,6 +197,7 @@ def _max_abs(values) -> float:
 
 
 def cmd_simulate(args) -> int:
+    _check_eta(args.eta)
     import numpy as np
 
     from .simulation import _check_horizon, simulate, write_trace
@@ -216,6 +225,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _check_eta(args.eta)
     import numpy as np
 
     from .simulation import find_perfect_attack, simulate, write_trace

@@ -1,7 +1,9 @@
 """Numeric realizations, stealthy-input search and detector simulation.
 
-This is the package's only module that imports numpy and scipy; the
-package loads it the first time one of its names is used. It also holds
+This is the package's only module that imports numpy, its one third-party
+dependency; the package loads it the first time one of its names is used.
+The detector's chi-square threshold is computed with the standard
+library (``_chi_square_95th_percentile``). The module also holds
 the boolean zero patterns of the state, output and attack matrices
 (``state_pattern``, ``output_pattern``, ``attack_state_pattern`` and
 ``attack_output_pattern``), which map the graph layer's topologies to
@@ -41,11 +43,12 @@ switched on.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .topology import DcsTopology, StructuredSystem
 
@@ -136,8 +139,9 @@ def _as_cov(value, dim: int, default: float) -> np.ndarray:
     if value is None:
         return np.eye(dim) * default
     if np.isscalar(value):
-        if not 0 <= value < np.inf:  # also false for NaN
-            raise ValueError(f"noise variance must be finite and nonnegative, got {value}")
+        # the comparison is also false for NaN; a string is a scalar, not a number
+        if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
+            raise ValueError(f"noise variance must be finite and nonnegative, got {value!r}")
         return np.eye(dim) * float(value)
     cov = np.array(value, dtype=float)
     if cov.shape != (dim, dim):
@@ -179,6 +183,55 @@ def _steady_state_filter(A, C, Q, R, tol=1e-12, max_iter=50_000):
     S = C @ P @ C.T + R
     K = np.linalg.solve(S, C @ P).T
     return K, (S + S.T) / 2
+
+
+# ---- alarm threshold ----
+
+def _chi_square_tail(x: float, m: int) -> float:
+    """P(X > x) for X chi-square with m degrees of freedom, x > 0.
+
+    At t = x/2 the tail is a sum of positive terms, so nothing cancels:
+    e^-t sum_{j < m/2} t^j / j! for even m, and erfc(sqrt t) +
+    e^-t sum_{j < (m-1)/2} t^(j+1/2) / Gamma(j+3/2) for odd m. Each term
+    t^(a-1) e^-t / Gamma(a) is formed from its logarithm, so none overflows
+    or underflows on the way even when m is in the thousands.
+    """
+    t = x / 2
+    log_t = math.log(t)
+    if m % 2:
+        head, first = math.erfc(math.sqrt(t)), 1.5
+    else:
+        head, first = 0.0, 1.0
+    shapes = (first + j for j in range(m // 2))  # the a of each term
+    return head + math.fsum(math.exp((a - 1) * log_t - t - math.lgamma(a)) for a in shapes)
+
+
+def _chi_square_95th_percentile(m: int) -> float:
+    """The x with P(X > x) = 0.05 for X chi-square with m >= 1 degrees of freedom.
+
+    Newton's method on the tail, whose derivative is minus the density,
+    from the Wilson-Hilferty approximation; it evaluates the tail two to
+    four times. A step that leaves the bracket the iterates have
+    established is replaced by bisection.
+    """
+    z_95 = 1.6448536269514722  # the standard normal 95th percentile
+    h = 2 / (9 * m)
+    x = m * (1 - h + z_95 * math.sqrt(h)) ** 3
+    log_norm = (m / 2) * math.log(2) + math.lgamma(m / 2)
+    lo, hi = 0.0, math.inf
+    for _ in range(64):  # a bound only; Newton stops within four rounds
+        excess = _chi_square_tail(x, m) - 0.05
+        step = excess / math.exp((m / 2 - 1) * math.log(x) - x / 2 - log_norm)
+        if abs(step) <= 1e-12 * x:  # the next error is of order step**2
+            return x + step
+        if excess > 0:
+            lo = x
+        else:
+            hi = x
+        x += step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+    return x
 
 
 # ---- zero patterns ----
@@ -256,8 +309,7 @@ def realize(sys: StructuredSystem, seed: int = 0,
     if m and spectral_radius(A - K @ C @ A) >= 1.0:
         raise FilterConvergenceError("steady-state filter came out unstable")
     if eta is None:
-        # the 95th percentile of chi-square with m degrees of freedom
-        eta = float(2 * gammaincinv(m / 2, 0.95)) if m else 0.0
+        eta = _chi_square_95th_percentile(m) if m else 0.0
     return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, K=K,
                        residue_cov=S, eta=float(eta))
 

@@ -1,7 +1,8 @@
 """The package surface, and which layers a program loads.
 
-The graph layer and the graph-only CLI commands must run on the standard
-library alone; numpy and scipy load with the first numeric name.
+The graph layer and the graph-only CLI commands, and a numeric command
+refused for a bad --eta, must run on the standard library alone; numpy
+loads with the first numeric name, and scipy never does.
 """
 
 import json
@@ -31,6 +32,7 @@ runs = [
     ["platoon", "--n", "8", "--m", "2", "--p", "2"],
     ["sensors", "--n", "30", "--p", "2", "--k1", "1", "--k2", "2"],
     ["certify", "--topology", "bad.json"],
+    ["simulate", "--topology", "dense.txt", "--eta", "-1"],
 ]
 codes = [main(argv) for argv in runs]
 numeric = ("numpy", "scipy")
@@ -48,9 +50,9 @@ def test_graph_only_runs_load_neither_numpy_nor_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 2]
+    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2]
     assert report["graph_only"] == []
-    assert report["after_realize"] == ["numpy", "scipy"]
+    assert report["after_realize"] == ["numpy"]
 
 
 def test_every_exported_name_is_its_defining_modules_object():

@@ -29,7 +29,8 @@ from stealthguard import (
     synthesize,
     synthesize_platoon,
 )
-from stealthguard.simulation import _is_prime, _random_prime, _rank_mod, _residues
+from stealthguard.simulation import _chi_square_95th_percentile, _is_prime, _random_prime, \
+    _rank_mod, _residues
 
 from oracles import brute_max_linking, evaluate_transfer, random_topology
 
@@ -95,13 +96,39 @@ def test_alarm_threshold_must_be_finite_and_nonnegative():
             false_alarm_rate(real, eta=eta, samples=10)
 
 
-def test_default_threshold_is_the_chi_square_95th_percentile():
-    from scipy.stats import chi2
+# The 95th percentile of chi-square with m degrees of freedom, to 50 digits:
+#   mpmath.mp.dps = 50
+#   2 * mpmath.findroot(lambda t: mpmath.gammainc(mpmath.mpf(m) / 2, 0, t,
+#                                                 regularized=True)
+#                       - mpmath.mpf("0.95"), m / 2)
+CHI_SQUARE_95 = {
+    1: "3.8414588206941259583613754373625968462133681420148",
+    2: "5.9914645471079819868704471522850815513532032459781",
+    3: "7.8147279032511799552689948735204502691658177899034",
+    5: "11.070497693516354178160270836042313626222547160386",
+    8: "15.507313055865453822174006719132793476967639512740",
+    13: "22.362032494826939865006579475173479660030251673125",
+    35: "49.801849568201868000454152592827036808510280454399",
+    100: "124.34211340400408172547801973492512266772233674162",
+    1000: "1074.6794488034409844675038048064979626660568409296",
+    5000: "5165.6145186758032408282064864943576960074949972909",
+}
 
+
+def test_default_threshold_is_the_chi_square_95th_percentile():
+    # Relative, not bitwise: scipy's chi2.ppf is itself up to 8 ulps off
+    # the 50-digit value (at m = 35 and m = 38).
     for m in (1, 2, 3, 5, 8, 13):
         sys = make_system(m, m, {(i, i) for i in range(1, m + 1)},
                           {k: k for k in range(1, m + 1)})
-        assert realize(sys, seed=0).eta == chi2.ppf(0.95, m)
+        eta = realize(sys, seed=0).eta
+        assert eta == pytest.approx(float(CHI_SQUARE_95[m]), rel=1e-13, abs=0)
+        assert eta == pytest.approx(stats.chi2.ppf(0.95, m), rel=1e-13, abs=0)
+    for m, digits in CHI_SQUARE_95.items():
+        assert _chi_square_95th_percentile(m) == pytest.approx(float(digits), rel=1e-13, abs=0)
+    for m in [*range(1, 41), 100, 500, 1000, 5000]:
+        assert _chi_square_95th_percentile(m) == pytest.approx(
+            stats.chi2.ppf(0.95, m), rel=1e-13, abs=0)
 
 
 def test_realize_accepts_noise_configuration():
@@ -374,7 +401,7 @@ def test_long_horizon_witness_on_the_cut_design():
 
 def test_noise_variances_must_be_finite_and_nonnegative():
     sys = hidden_pair()
-    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0, "1"):
         for kwargs in ({"process_noise": bad}, {"measurement_noise": bad}):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 realize(sys, **kwargs)
