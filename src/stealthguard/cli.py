@@ -29,14 +29,23 @@ from .topology import AttackScenario, StructuredSystem, format_topology, \
 DEFAULT_SEED = 1729
 
 
-def _default_seed() -> int:
-    env = os.environ.get("STEALTHGUARD_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"STEALTHGUARD_SEED must be an integer, got {env!r}") from None
+def _seed(flag: int | None) -> int:
+    """--seed, else STEALTHGUARD_SEED, else DEFAULT_SEED. numpy takes only
+    a nonnegative seed, so a negative one is refused here, before numpy
+    loads, with a message that names where it came from."""
+    if flag is not None:
+        source, seed = "--seed", flag
+    else:
+        env = os.environ.get("STEALTHGUARD_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            source, seed = "STEALTHGUARD_SEED", int(env)
+        except ValueError:
+            raise ValueError(f"STEALTHGUARD_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse_attack_ids(spec: str | None) -> AttackScenario:
@@ -345,8 +354,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
+        if hasattr(args, "seed"):
+            args.seed = _seed(args.seed)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

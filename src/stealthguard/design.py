@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .separators import InfeasibilityError, certify_robustness
-from .topology import DcsTopology
+from .topology import DcsTopology, _whole_number
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class SynthesisSpec:
     observers_attackable: bool = True
 
     def __post_init__(self):
+        for name in ("n", "m", "p"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("need at least one agent")
         if self.p < 0 or self.p > self.n:
@@ -54,6 +56,7 @@ def min_links_value(n: int, m: int, p: int, observers_attackable: bool = True) -
     unobserved agent (one exists whenever m < p <= n) is cut off from the
     sensors by the observed set, which is smaller than p.
     """
+    n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
     if n < 1 or not (0 <= m <= n) or not (0 <= p <= n):
         raise ValueError(f"invalid sizes n={n} m={m} p={p}")
     if m < p:
@@ -109,6 +112,7 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     m = p, as does p = 0, where the link count no longer depends on m.
     Returns (m, total_cost).
     """
+    n, p = _whole_number(n, "n"), _whole_number(p, "p")
     if not (0 <= p <= n):
         raise ValueError(f"need 0 <= p <= n, got n={n} p={p}")
     if not all(c > 0 and math.isfinite(c) for c in (cost_link, cost_sensor)):
@@ -134,6 +138,7 @@ def synthesize_platoon(n: int, m: int, p: int,
     attackable the observed tail additionally feeds p-1 observed peers
     (wrapping inside the tail), matching the unconstrained link minimum.
     """
+    n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
     if n < 1 or not (0 <= m <= n) or p < 0:
         raise ValueError(f"invalid sizes n={n} m={m} p={p}")
     if n - m < 1:

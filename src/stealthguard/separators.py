@@ -31,6 +31,7 @@ from .topology import (
     DcsTopology,
     Digraph,
     StructuredSystem,
+    _whole_number,
     agent_id,
     observer_id,
 )
@@ -312,6 +313,7 @@ def certify_robustness(topology: DcsTopology, p: int,
     <= p that defeats left invertibility: the agent itself plus every
     separator member.
     """
+    p = _whole_number(p, "attack budget p")
     if p < 0:
         raise ValueError("attack budget p must be nonnegative")
     if observers_attackable and topology.m < p:

@@ -45,18 +45,19 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import DcsTopology, StructuredSystem
+from .topology import DcsTopology, StructuredSystem, _whole_number
 
 
 # Both numeric failures are ValueErrors: they reject an input the numerics
 # cannot handle, so callers, the CLI included, treat them like bad input.
 class FilterConvergenceError(ValueError):
-    """The steady-state gain iteration failed to converge."""
+    """The steady-state gain iteration failed to converge, or a Realization
+    was given a filter that is unstable (spectral radius of A - KCA at
+    least one), which its constructor refuses."""
 
 
 class NullspaceAmbiguityError(ValueError):
@@ -71,6 +72,13 @@ def spectral_radius(mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+def _alarm_threshold(eta) -> float:
+    eta = float(eta)
+    if not 0 <= eta < math.inf:  # also false for NaN
+        raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")
+    return eta
+
+
 @dataclass(frozen=True, eq=False)
 class Realization:
     """Concrete matrices for one structured system.
@@ -79,6 +87,13 @@ class Realization:
     (0/1), D: sensor corruption (0/1), Q/R: process and measurement noise
     covariances, K: steady-state filter gain, residue_cov: steady-state
     covariance of the detector residue, eta: alarm threshold.
+
+    Construction checks everything the numeric functions assume, so none
+    of them checks it again: the shapes agree, every entry is finite
+    (ValueError), eta is finite and nonnegative (ValueError), and with
+    m > 0 sensors the filter is stable, the spectral radius of A - KCA
+    below one (FilterConvergenceError). `dataclasses.replace` runs the
+    same checks.
     """
 
     A: np.ndarray
@@ -104,9 +119,15 @@ class Realization:
             raise ValueError("sensor or gain matrix has the wrong shape")
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("noise covariances have the wrong shape")
-        if not 0 <= self.eta < np.inf:  # also false for NaN
-            raise ValueError(f"alarm threshold eta must be finite and nonnegative, "
-                             f"got {self.eta}")
+        matrices = (self.A, self.B, self.C, self.D, self.Q, self.R, self.K, self.residue_cov)
+        if not all(np.all(np.isfinite(mat)) for mat in matrices):
+            raise ValueError("realization matrices must be finite")
+        object.__setattr__(self, "eta", _alarm_threshold(self.eta))
+        if m:
+            rho = spectral_radius(self.A - self.K @ self.C @ self.A)
+            if rho >= 1.0:
+                raise FilterConvergenceError(
+                    f"filter is unstable: spectral radius of A - KCA is {rho:.6g} >= 1")
 
     @property
     def n(self) -> int:
@@ -119,13 +140,6 @@ class Realization:
     @property
     def num_inputs(self) -> int:
         return self.B.shape[1]
-
-
-def _whole_number(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_horizon(horizon) -> int:
@@ -283,7 +297,9 @@ def realize(sys: StructuredSystem, seed: int = 0,
     measurement noise to zero, and eta to the 95th percentile of a
     chi-square with one degree of freedom per sensor. A noise given as a
     scalar variance must be finite and nonnegative, one given as a
-    covariance matrix finite, symmetric and positive semidefinite.
+    covariance matrix finite, symmetric and positive semidefinite. The
+    returned Realization checks itself (see there); a gain whose filter
+    comes out unstable raises FilterConvergenceError.
     """
     if not 0 < spectral_radius_target < 1:
         raise ValueError("spectral radius target must lie in (0, 1)")
@@ -306,12 +322,9 @@ def realize(sys: StructuredSystem, seed: int = 0,
     Q = _as_cov(process_noise, n, default=1.0)
     R = _as_cov(measurement_noise, m, default=0.0)
     K, S = _steady_state_filter(A, C, Q, R)
-    if m and spectral_radius(A - K @ C @ A) >= 1.0:
-        raise FilterConvergenceError("steady-state filter came out unstable")
     if eta is None:
         eta = _chi_square_95th_percentile(m) if m else 0.0
-    return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, K=K,
-                       residue_cov=S, eta=float(eta))
+    return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, K=K, residue_cov=S, eta=eta)
 
 
 # ---- structural rank, numerically ----
@@ -348,11 +361,9 @@ def _residues(values, q: int) -> np.ndarray:
     np.frexp writes every finite double as frac * 2**e with frac * 2**53 an
     integer, so the value is that integer times 2**(e - 53); a negative
     power of two is an inverse modulo an odd q. Both factors lie below
-    2**31, so their product fits in int64.
+    2**31, so their product fits in int64. The values must be finite, as
+    a Realization's entries are.
     """
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix entries must be finite")
     frac, exp = np.frexp(values)
     mantissa = (frac * 2.0**53).astype(np.int64) % q
     unique, where = np.unique(exp, return_inverse=True)
@@ -414,7 +425,11 @@ def _pencil_rank(A, B, C, D, rng) -> int:
     return _rank_mod(pencil, q) - len(A)
 
 
-def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
+# Independent (z, q) draws before normal_rank reports a deficient rank.
+_RANK_TRIALS = 7
+
+
+def normal_rank(real: Realization, seed: int = 0) -> int:
     """Generic rank of the attack-to-output transfer matrix, decided exactly.
 
     Only the r states the attack reaches enter the transfer matrix, so
@@ -423,20 +438,17 @@ def normal_rank(real: Realization, trials: int = 7, seed: int = 0) -> int:
     z, for a fresh random prime q < 2**31, and subtracts r. That is a
     lower bound on the generic rank, so reaching the number of attack
     inputs ends the loop and proves the map has full column rank: no
-    stealthy input exists. A deficient rank is returned only after
-    `trials` independent (z, q) draws all fell short, the largest seen. A
+    stealthy input exists. A deficient rank is returned only after 7
+    independent (z, q) draws all fell short, the largest seen. A
     draw falls short of the true rank only when z is a root of a nonzero
     minor (at most r of the q points; Schwartz-Zippel) or q divides all of
     that minor's coefficients, so each draw errs with a tiny probability.
     No float threshold takes part.
     """
-    trials = _whole_number(trials, "trials")
-    if trials < 3:
-        raise ValueError("need at least 3 evaluation points")
     rng = np.random.default_rng(seed)
     A, B, C = _reachable_part(real)
     best = 0
-    for _ in range(trials):
+    for _ in range(_RANK_TRIALS):
         best = max(best, _pencil_rank(A, B, C, real.D, rng))
         if best == real.num_inputs:
             break
@@ -522,9 +534,10 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     singular vector of that map, zero-padded to `horizon` steps (default
     twice the state dimension, the minimum accepted), is the witness.
     `_run` replays it on the whole system over horizon plus n steps: if
-    the output deviation is not numerically zero, NullspaceAmbiguityError
-    is raised instead of a trace; otherwise the AttackTrace holds the
-    inputs scaled to unit peak state deviation over those steps.
+    the output deviation exceeds 1e-8, either as found or once the inputs
+    are scaled to unit peak state deviation over those steps,
+    NullspaceAmbiguityError is raised instead of a trace; otherwise the
+    AttackTrace holds those scaled inputs.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else _check_horizon(horizon)
@@ -539,7 +552,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     else:
         A, B, C = _reachable_part(real)
         r = len(A)
-        L = min(N, max(2 * r, 1))
+        L = max(2 * r, 1)
         blocks = [real.D]
         observability = C  # C A^k, m x r
         for _ in range(L + r - 1):
@@ -558,19 +571,15 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         smallest = 0.0 if wide else float(s[-1])
     dx, _, dy, _ = _deviation(real, inputs, N + n)
     resid = float(np.max(np.abs(dy))) if dy.size else 0.0
-    if resid > 1e-8:
-        raise NullspaceAmbiguityError(
-            f"null-space candidate leaks through the outputs "
-            f"(deviation {resid:.3e}, smallest singular value {smallest:.3e})")
     peak = float(np.max(np.abs(dx))) if dx.size else 0.0
-    if peak > 1e-300:
-        scale = 1.0 / peak
-        inputs = inputs * scale
-        if resid * scale > 1e-8:
-            raise NullspaceAmbiguityError(
-                f"output deviation {resid * scale:.3e} after rescaling; "
-                f"smallest singular value {smallest:.3e}")
-    return AttackTrace(inputs=inputs, horizon=N, min_singular_value=smallest)
+    scale = 1.0 / peak if peak > 1e-300 else 1.0
+    # the leak must stay small both as found and at unit peak state deviation
+    if resid * max(scale, 1.0) > 1e-8:
+        raise NullspaceAmbiguityError(
+            f"null-space candidate leaks through the outputs (deviation "
+            f"{resid:.3e}, {resid * scale:.3e} at unit peak state deviation; "
+            f"smallest singular value {smallest:.3e})")
+    return AttackTrace(inputs=inputs * scale, horizon=N, min_singular_value=smallest)
 
 
 # ---- closed-loop simulation ----
@@ -631,13 +640,11 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     inputs (zero-padded or truncated to the horizon). The nominal run draws
     process and measurement noise from Q and R; the attacked run shares
     that noise, so the deviation run that `_run` steps for the difference
-    needs none.
+    needs none. The filter is stable and every matrix finite, because a
+    Realization checks both when it is built.
     """
     horizon = _check_horizon(horizon)
-    A, C, K = real.A, real.C, real.K
     n, m = real.n, real.m
-    if m and spectral_radius(A - K @ C @ A) >= 1.0:
-        raise ValueError("filter realization is unstable; refusing to simulate")
     if attack is None:
         inputs = None
     else:
@@ -689,22 +696,18 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     The filter is stepped in prediction-error form: with e the state minus
     its one-step prediction, the residue is z = C e + v and the next error
     is (A - AKC) e + w - AK v, so plant and estimate need not be stored
-    apart.
+    apart. That error decays because a Realization refuses an unstable
+    filter when it is built; `eta` is checked as Realization checks its own.
     """
     samples = _whole_number(samples, "samples")
     burn_in = _whole_number(burn_in, "burn_in")
     if samples < 1 or burn_in < 0:
         raise ValueError("need samples >= 1 and burn_in >= 0")
-    threshold = real.eta if eta is None else float(eta)
-    if not 0 <= threshold < np.inf:  # also false for NaN
-        raise ValueError(f"alarm threshold eta must be finite and nonnegative, "
-                         f"got {eta}")
+    threshold = real.eta if eta is None else _alarm_threshold(eta)
     A, C, K = real.A, real.C, real.K
     n, m = real.n, real.m
     if m == 0:
         return 0.0
-    if spectral_radius(A - K @ C @ A) >= 1.0:
-        raise ValueError("filter realization is unstable; refusing to simulate")
     reps = min(_REPLICAS, samples)
     total = burn_in + -(-samples // reps)
     gain = A @ K
@@ -737,33 +740,21 @@ def write_trace(path, result: SimulationResult) -> None:
     """Tab-separated trace: step index, then state, estimate, output,
     residue and alarm columns. Deviation columns appear only when the
     run actually carried an attack (some deviation is nonzero)."""
-    n = result.states.shape[1]
-    m = result.outputs.shape[1]
     attacked = bool(np.any(result.delta_states) or np.any(result.delta_outputs)
                     or np.any(result.delta_residues))
-    header = (["k"]
-              + [f"x{i}" for i in range(1, n + 1)]
-              + [f"xhat{i}" for i in range(1, n + 1)]
-              + [f"y{k}" for k in range(1, m + 1)]
-              + [f"z{k}" for k in range(1, m + 1)]
-              + ["alarm"])
+    fields = [("x", result.states), ("xhat", result.estimates), ("y", result.outputs),
+              ("z", result.residues), ("alarm", result.alarms)]
     if attacked:
-        header += ([f"dx{i}" for i in range(1, n + 1)]
-                   + [f"dy{k}" for k in range(1, m + 1)]
-                   + [f"dz{k}" for k in range(1, m + 1)]
-                   + ["alarm_attacked"])
+        fields += [("dx", result.delta_states), ("dy", result.delta_outputs),
+                   ("dz", result.delta_residues), ("alarm_attacked", result.attacked_alarms)]
+    header = ["k"]
+    for name, values in fields:  # one column per entry of a vector, one for a flag
+        header += ([f"{name}{i}" for i in range(1, values.shape[1] + 1)]
+                   if values.ndim == 2 else [name])
+    # the step index and the 0/1 flags are whole floats, which .17g prints
+    # as plain integers
+    table = np.column_stack([np.arange(result.horizon)] + [values for _, values in fields])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for k in range(result.horizon):
-            row = ([str(k)]
-                   + [f"{v:.17g}" for v in result.states[k]]
-                   + [f"{v:.17g}" for v in result.estimates[k]]
-                   + [f"{v:.17g}" for v in result.outputs[k]]
-                   + [f"{v:.17g}" for v in result.residues[k]]
-                   + [str(int(result.alarms[k]))])
-            if attacked:
-                row += ([f"{v:.17g}" for v in result.delta_states[k]]
-                        + [f"{v:.17g}" for v in result.delta_outputs[k]]
-                        + [f"{v:.17g}" for v in result.delta_residues[k]]
-                        + [str(int(result.attacked_alarms[k]))])
-            fh.write("\t".join(row) + "\n")
+        for row in table.tolist():
+            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")

@@ -36,6 +36,7 @@ reads an index back out of a string.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -59,6 +60,15 @@ def observer_id(k: int) -> str:
 @cache
 def attack_input_id(t: int) -> str:
     return f"u{t}"
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; anything operator.index refuses (a float, a
+    string) is a ValueError, while bool and numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def parse_agent_id(node: str) -> int:
@@ -192,10 +202,17 @@ class DcsTopology:
     observer_assignment: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "agent_edges",
-                           frozenset((int(a), int(b)) for a, b in self.agent_edges))
-        object.__setattr__(self, "observer_assignment",
-                           {int(k): int(v) for k, v in dict(self.observer_assignment).items()})
+        index = operator.index
+        object.__setattr__(self, "n", _whole_number(self.n, "agent count n"))
+        object.__setattr__(self, "m", _whole_number(self.m, "observer count m"))
+        try:
+            object.__setattr__(self, "agent_edges",
+                               frozenset((index(a), index(b)) for a, b in self.agent_edges))
+            object.__setattr__(self, "observer_assignment",
+                               {index(k): index(v)
+                                for k, v in dict(self.observer_assignment).items()})
+        except TypeError:
+            raise ValueError("every edge endpoint and observer index must be an integer") from None
         if self.n < 0 or self.m < 0 or self.m > self.n:
             raise ValueError(f"need 0 <= m <= n, got n={self.n} m={self.m}")
         for (a, b) in self.agent_edges:
@@ -237,7 +254,8 @@ class AttackScenario:
 
     ``p_bound`` is the adversary's budget; the set sizes must not exceed it.
     Attack inputs are numbered with compromised agents first (ascending),
-    then compromised observers (ascending).
+    then compromised observers (ascending). Indices and the budget must
+    be integers.
     """
 
     compromised_agents: frozenset
@@ -245,10 +263,14 @@ class AttackScenario:
     p_bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "compromised_agents",
-                           frozenset(int(i) for i in self.compromised_agents))
-        object.__setattr__(self, "compromised_observers",
-                           frozenset(int(k) for k in self.compromised_observers))
+        try:
+            object.__setattr__(self, "compromised_agents",
+                               frozenset(map(operator.index, self.compromised_agents)))
+            object.__setattr__(self, "compromised_observers",
+                               frozenset(map(operator.index, self.compromised_observers)))
+        except TypeError:
+            raise ValueError("every attacked agent and observer index must be an integer") from None
+        object.__setattr__(self, "p_bound", _whole_number(self.p_bound, "attack budget p"))
         if self.p_bound < 0:
             raise ValueError("p_bound must be nonnegative")
         if self.num_inputs > self.p_bound:

@@ -223,6 +223,18 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert "STEALTHGUARD_SEED" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_negative_seed_message_names_its_source(tmp_path, capsys, monkeypatch, command):
+    argv = [command, "--topology", str(hidden_pair_file(tmp_path)), "--attack", "x1,x2"]
+    code, out, err = run(capsys, *argv, "--seed", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a nonnegative integer, got -5\n"
+    monkeypatch.setenv("STEALTHGUARD_SEED", "-5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: STEALTHGUARD_SEED must be a nonnegative integer, got -5\n"
+
+
 def test_attack_finds_stealthy_inputs(tmp_path, capsys):
     top = hidden_pair_file(tmp_path)
     trace = tmp_path / "attack.tsv"
@@ -330,6 +342,9 @@ MALFORMED = {
                                "--eta", "-1"],
     "NaN eta": lambda d: ["simulate", "--topology", str(hidden_pair_file(d)),
                           "--eta", "nan"],
+    "negative seed": lambda d: ["simulate", "--topology", str(hidden_pair_file(d)),
+                                "--seed", "-5"],
+    "negative seed variable": lambda d: ["simulate", "--topology", str(hidden_pair_file(d))],
     "NaN sensor cost": lambda d: ["sensors", "--n", "5", "--p", "2",
                                   "--k1", "1", "--k2", "nan"],
     "infinite link cost": lambda d: ["sensors", "--n", "5", "--p", "2",
@@ -349,8 +364,14 @@ MALFORMED = {
 }
 
 
+# the environment a MALFORMED case runs in, where it is not the caller's
+MALFORMED_ENV = {"negative seed variable": {"STEALTHGUARD_SEED": "-5"}}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, case):
+def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, monkeypatch, case):
+    for name, value in MALFORMED_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     code, _, err = run(capsys, *MALFORMED[case](tmp_path))
     assert code == 2
     assert err.startswith("error:")

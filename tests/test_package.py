@@ -1,7 +1,7 @@
 """The package surface, and which layers a program loads.
 
 The graph layer and the graph-only CLI commands, and a numeric command
-refused for a bad --eta, must run on the standard library alone; numpy
+refused for a bad --eta or --seed, must run on the standard library alone; numpy
 loads with the first numeric name, and scipy never does.
 """
 
@@ -33,6 +33,7 @@ runs = [
     ["sensors", "--n", "30", "--p", "2", "--k1", "1", "--k2", "2"],
     ["certify", "--topology", "bad.json"],
     ["simulate", "--topology", "dense.txt", "--eta", "-1"],
+    ["attack", "--topology", "dense.txt", "--attack", "x1", "--seed", "-5"],
 ]
 codes = [main(argv) for argv in runs]
 numeric = ("numpy", "scipy")
@@ -50,7 +51,7 @@ def test_graph_only_runs_load_neither_numpy_nor_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2]
+    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2]
     assert report["graph_only"] == []
     assert report["after_realize"] == ["numpy"]
 

@@ -14,8 +14,11 @@ from stealthguard import (
     attack_output_pattern,
     attack_state_pattern,
     build_separator_graph,
+    certify_robustness,
     format_topology,
     load_topology,
+    min_links_value,
+    optimal_sensor_count,
     output_pattern,
     parse_topology,
     save_topology,
@@ -383,3 +386,34 @@ def test_save_load_round_trip(tmp_path):
     save_topology(path, t, 1)
     t2, p2 = load_topology(path)
     assert t2 == t and p2 == 1
+
+
+PAIR_EDGES = {(1, 1), (2, 2), (1, 2)}
+
+# Each case builds with one count or index replaced by v; the bad value
+# used to be truncated, parsed, accepted as it was, or refused with a
+# TypeError or a misleading message.
+INTEGER_ARGUMENTS = {
+    "edge endpoint": (lambda v: DcsTopology(n=2, m=0, agent_edges={(v, 1), (1, 1), (2, 2)},
+                                            observer_assignment={}), 1.9, 2),
+    "observer target": (lambda v: DcsTopology(n=2, m=1, agent_edges=PAIR_EDGES,
+                                              observer_assignment={1: v}), "2", 2),
+    "agent count": (lambda v: DcsTopology(n=v, m=0, agent_edges={(1, 1), (2, 2)},
+                                          observer_assignment={}), 2.5, 2),
+    "attacked agent": (lambda v: AttackScenario({v}, set(), 1), 1.5, 1),
+    "attack budget": (lambda v: AttackScenario({1}, set(), v), 1.0, 1),
+    "certify budget": (lambda v: certify_robustness(
+        DcsTopology(n=2, m=1, agent_edges=PAIR_EDGES, observer_assignment={1: 2}), v), 1.5, 1),
+    "link minimum budget": (lambda v: min_links_value(4, 2, v), 1.5, 1),
+    "sensor count budget": (lambda v: optimal_sensor_count(4, v, 1, 1), 1.5, 1),
+    "synthesis spec size": (lambda v: SynthesisSpec(n=v, m=1, p=1), 3.5, 3),
+    "platoon size": (lambda v: synthesize_platoon(v, 2, 1), 4.0, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_graph_layer_counts_and_indices_must_be_integers(case):
+    build, bad, whole = INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
+    build(np.int64(whole))
