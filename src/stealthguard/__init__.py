@@ -69,8 +69,6 @@ __all__ = [
     "SynthesisResult",
     "SynthesisSpec",
     "TopologyFormatError",
-    "attack_output_pattern",
-    "attack_state_pattern",
     "build_separator_graph",
     "certify_robustness",
     "false_alarm_rate",
@@ -83,13 +81,11 @@ __all__ = [
     "min_links_value",
     "normal_rank",
     "optimal_sensor_count",
-    "output_pattern",
     "parse_topology",
     "realize",
     "save_topology",
     "simulate",
     "spectral_radius",
-    "state_pattern",
     "synthesize",
     "synthesize_platoon",
     "topology_graph",

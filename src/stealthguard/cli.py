@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .design import SynthesisSpec, min_links_value, optimal_sensor_count, \
     synthesize, synthesize_platoon
 from .separators import certify_robustness, max_linking
-from .topology import AttackScenario, StructuredSystem, format_topology, \
-    load_topology, parse_agent_id, parse_observer_id, save_topology
+from .topology import AttackScenario, StructuredSystem, _alarm_threshold, \
+    format_topology, load_topology, parse_agent_id, parse_observer_id, save_topology
 
 DEFAULT_SEED = 1729
 
@@ -76,16 +75,9 @@ def _load_system(args) -> StructuredSystem:
     return StructuredSystem(topology=topology, scenario=_parse_attack_ids(args.attack))
 
 
-def _check_eta(eta) -> None:
-    """Refuse a bad --eta before the numeric layer loads; Realization
-    applies the same check to every threshold it is given."""
-    if eta is not None and not 0 <= eta < math.inf:  # also false for NaN
-        raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")
-
-
-def _realize(args):
+def _realize(args, system: StructuredSystem):
     from .simulation import realize
-    return realize(_load_system(args), seed=args.seed,
+    return realize(system, seed=args.seed,
                    spectral_radius_target=args.spectral_radius, eta=args.eta)
 
 
@@ -206,12 +198,11 @@ def _max_abs(values) -> float:
 
 
 def cmd_simulate(args) -> int:
-    _check_eta(args.eta)
     import numpy as np
 
     from .simulation import _check_horizon, simulate, write_trace
     _check_horizon(args.horizon)  # before the inputs are drawn for it
-    real = _realize(args)
+    real = _realize(args, _load_system(args))
     if real.num_inputs:
         input_rng = np.random.default_rng([args.seed, 1])
         inputs = input_rng.standard_normal((args.horizon, real.num_inputs))
@@ -234,15 +225,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    _check_eta(args.eta)
+    system = _load_system(args)
+    if system.num_attack_inputs == 0:
+        raise ValueError("attack needs at least one target; pass --attack ids")
     import numpy as np
 
     from .simulation import find_perfect_attack, simulate, write_trace
-    real = _realize(args)
-    if real.num_inputs == 0:
-        raise ValueError("attack needs at least one target; pass --attack ids")
-    horizon = args.horizon if args.horizon is not None else 2 * real.n
-    trace = find_perfect_attack(real, horizon=horizon)
+    real = _realize(args, system)
+    trace = find_perfect_attack(real, horizon=args.horizon)
     if trace is None:
         msg = "no stealthy input sequence exists at this realization"
         _emit(args.json, {"found": False, "reason": msg}, [msg])
@@ -354,8 +344,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "seed"):
+        if hasattr(args, "seed"):  # simulate and attack
             args.seed = _seed(args.seed)
+            if args.eta is not None:  # refused before numpy loads
+                _alarm_threshold(args.eta)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,17 +3,16 @@
 This is the package's only module that imports numpy, its one third-party
 dependency; the package loads it the first time one of its names is used.
 The detector's chi-square threshold is computed with the standard
-library (``_chi_square_95th_percentile``). The module also holds
-the boolean zero patterns of the state, output and attack matrices
-(``state_pattern``, ``output_pattern``, ``attack_state_pattern`` and
-``attack_output_pattern``), which map the graph layer's topologies to
-numpy arrays.
+library (``_chi_square_95th_percentile``).
 
-A realization draws concrete coefficients for a structured system: state
-couplings land in [-1, -0.1] or [0.1, 1] before the matrix is rescaled to
-a target spectral radius below one, attack and sensor matrices are 0/1
-indicators, and a steady-state one-step filter with gain K feeds a
-chi-square residue detector with threshold eta.
+A realization draws concrete coefficients for a structured system, whose
+topology and attack set fix the zero pattern of its matrices: each agent
+edge (sender a, receiver b) is a state coupling in row b, column a, drawn
+from [-1, -0.1] or [0.1, 1] before the matrix is rescaled to a target
+spectral radius below one; the sensor and attack matrices are 0/1
+indicators placed from the observer assignment and the attack set; and a
+steady-state one-step filter with gain K feeds a chi-square residue
+detector with threshold eta.
 
 The stealthy-input search asks whether some nonzero attack sequence
 produces exactly zero output deviation. That happens exactly when the
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import DcsTopology, StructuredSystem, _whole_number
+from .topology import StructuredSystem, _alarm_threshold, _whole_number
 
 
 # Both numeric failures are ValueErrors: they reject an input the numerics
@@ -72,11 +71,7 @@ def spectral_radius(mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def _alarm_threshold(eta) -> float:
-    eta = float(eta)
-    if not 0 <= eta < math.inf:  # also false for NaN
-        raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")
-    return eta
+_MATRICES = ("A", "B", "C", "D", "Q", "R", "K", "residue_cov")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +83,13 @@ class Realization:
     covariances, K: steady-state filter gain, residue_cov: steady-state
     covariance of the detector residue, eta: alarm threshold.
 
-    Construction checks everything the numeric functions assume, so none
-    of them checks it again: the shapes agree, every entry is finite
-    (ValueError), eta is finite and nonnegative (ValueError), and with
-    m > 0 sensors the filter is stable, the spectral radius of A - KCA
-    below one (FilterConvergenceError). `dataclasses.replace` runs the
-    same checks.
+    Construction stores a read-only float copy of each matrix, so no write
+    into the given arrays, or into the stored ones, can undo its checks.
+    It checks everything the numeric functions assume, so none of them
+    checks it again: the shapes agree, every entry is finite (ValueError),
+    eta is finite and nonnegative (ValueError), and with m > 0 sensors the
+    filter is stable, the spectral radius of A - KCA below one
+    (FilterConvergenceError). `dataclasses.replace` runs the same checks.
     """
 
     A: np.ndarray
@@ -107,6 +103,10 @@ class Realization:
     eta: float
 
     def __post_init__(self):
+        for name in _MATRICES:
+            mat = np.array(getattr(self, name), dtype=float)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
         n = self.A.shape[0]
         m = self.C.shape[0]
         if self.A.shape != (n, n):
@@ -119,8 +119,7 @@ class Realization:
             raise ValueError("sensor or gain matrix has the wrong shape")
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("noise covariances have the wrong shape")
-        matrices = (self.A, self.B, self.C, self.D, self.Q, self.R, self.K, self.residue_cov)
-        if not all(np.all(np.isfinite(mat)) for mat in matrices):
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in _MATRICES):
             raise ValueError("realization matrices must be finite")
         object.__setattr__(self, "eta", _alarm_threshold(self.eta))
         if m:
@@ -248,43 +247,6 @@ def _chi_square_95th_percentile(m: int) -> float:
     return x
 
 
-# ---- zero patterns ----
-
-def state_pattern(topology: DcsTopology) -> np.ndarray:
-    """Boolean n-by-n pattern of the state matrix (row = receiver)."""
-    pat = np.zeros((topology.n, topology.n), dtype=bool)
-    for (a, b) in topology.agent_edges:
-        pat[b - 1, a - 1] = True
-    return pat
-
-
-def output_pattern(topology: DcsTopology) -> np.ndarray:
-    """Boolean m-by-n pattern of the output matrix (one 1 per sensor row)."""
-    pat = np.zeros((topology.m, topology.n), dtype=bool)
-    for k, j in topology.observer_assignment.items():
-        pat[k - 1, j - 1] = True
-    return pat
-
-
-def attack_state_pattern(sys: StructuredSystem) -> np.ndarray:
-    """Boolean n-by-p' pattern of the actuation side of the attack."""
-    n = sys.topology.n
-    pat = np.zeros((n, sys.num_attack_inputs), dtype=bool)
-    for t, i in enumerate(sorted(sys.scenario.compromised_agents)):
-        pat[i - 1, t] = True
-    return pat
-
-
-def attack_output_pattern(sys: StructuredSystem) -> np.ndarray:
-    """Boolean m-by-p' pattern of the sensor side of the attack."""
-    m = sys.topology.m
-    offset = len(sys.scenario.compromised_agents)
-    pat = np.zeros((m, sys.num_attack_inputs), dtype=bool)
-    for t, k in enumerate(sorted(sys.scenario.compromised_observers)):
-        pat[k - 1, offset + t] = True
-    return pat
-
-
 def realize(sys: StructuredSystem, seed: int = 0,
             spectral_radius_target: float = 0.9,
             process_noise=None, measurement_noise=None,
@@ -300,25 +262,37 @@ def realize(sys: StructuredSystem, seed: int = 0,
     covariance matrix finite, symmetric and positive semidefinite. The
     returned Realization checks itself (see there); a gain whose filter
     comes out unstable raises FilterConvergenceError.
+
+    The topology and attack set fix where the entries go: the coupling of
+    each agent edge (sender a, receiver b) lies in row b, column a, and the
+    couplings are drawn once, in row-major order. Sensor k reads its
+    assigned agent in row k of C; attack input t drives or corrupts the
+    t-th target, agents ascending and then observers ascending, through
+    column t of B or D. A topology with no agents is a ValueError.
     """
     if not 0 < spectral_radius_target < 1:
         raise ValueError("spectral radius target must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    top = sys.topology
+    top, scenario = sys.topology, sys.scenario
     n, m = top.n, top.m
-    rows, cols = np.nonzero(state_pattern(top))
+    if n == 0:
+        raise ValueError("a realization needs at least one agent, got n=0")
+    rng = np.random.default_rng(seed)
+    # couplings are drawn in row-major order: by receiver, then sender
+    rows, cols = zip(*sorted((b - 1, a - 1) for a, b in top.agent_edges))
     A = np.zeros((n, n))
-    for _ in range(100):
-        A[rows, cols] = rng.uniform(0.1, 1.0, rows.size) * rng.choice((-1.0, 1.0), rows.size)
-        rho = spectral_radius(A)
-        if rho > 1e-9:
-            break
-    else:  # pragma: no cover - mandatory self-loops make this unreachable
-        raise RuntimeError("could not draw a nonzero state matrix")
-    A *= spectral_radius_target / rho
-    B = attack_state_pattern(sys).astype(float)
-    C = output_pattern(top).astype(float)
-    D = attack_output_pattern(sys).astype(float)
+    A[rows, cols] = rng.uniform(0.1, 1.0, len(rows)) * rng.choice((-1.0, 1.0), len(rows))
+    A *= spectral_radius_target / spectral_radius(A)
+    C = np.zeros((m, n))
+    C[[k - 1 for k in top.observer_assignment],
+      [j - 1 for j in top.observer_assignment.values()]] = 1.0
+    # input t drives the t-th target, agents ascending, then observers
+    # ascending: a row of the stacked [B; D] below n is an agent's, one from n on
+    # a sensor's
+    targets = ([i - 1 for i in sorted(scenario.compromised_agents)]
+               + [n + k - 1 for k in sorted(scenario.compromised_observers)])
+    BD = np.zeros((n + m, len(targets)))
+    BD[targets, np.arange(len(targets))] = 1.0
+    B, D = BD[:n], BD[n:]
     Q = _as_cov(process_noise, n, default=1.0)
     R = _as_cov(measurement_noise, m, default=0.0)
     K, S = _steady_state_filter(A, C, Q, R)

@@ -24,9 +24,10 @@ so graphs, paths and witnesses of any number of queries share their
 strings.
 
 This module, like the rest of the graph layer, needs only the standard
-library. The boolean zero patterns of the state, output and attack
-matrices (``state_pattern`` and friends) are numpy arrays, so they live in
-:mod:`stealthguard.simulation`.
+library. A topology and an attack set fix the zero pattern of the state,
+output and attack matrices: :func:`stealthguard.simulation.realize` places
+their entries straight from ``agent_edges``, ``observer_assignment`` and
+the attack set.
 
 Reading a topology file goes the other way: ``parse_topology`` turns each
 distinct id string into its index once per call, and nothing downstream
@@ -36,6 +37,7 @@ reads an index back out of a string.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -69,6 +71,16 @@ def _whole_number(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _alarm_threshold(eta) -> float:
+    """``eta`` as a float, or ValueError unless it is finite and
+    nonnegative. The CLI checks --eta with it before numpy loads, and
+    ``Realization`` checks every threshold it is given."""
+    eta = float(eta)
+    if not 0 <= eta < math.inf:  # also false for NaN
+        raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")
+    return eta
 
 
 def parse_agent_id(node: str) -> int:

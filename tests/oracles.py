@@ -18,7 +18,8 @@ from stealthguard import (
     StructuredSystem,
     is_structurally_left_invertible,
 )
-from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id
+from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id, \
+    parse_agent_id, parse_observer_id
 
 
 def reachable(graph, start):
@@ -128,6 +129,27 @@ def reference_separator_graph(topology: DcsTopology, collapse_observers: bool) -
     for j in sorted(topology.observed_agents):
         g.add_edge(agent_id(j), OBSERVER_SINK)
     return g
+
+
+def reference_patterns(sys: StructuredSystem):
+    """Boolean zero patterns of (A, B, C, D), set entry by entry: edge
+    (sender, receiver) in the receiver's row of A, sensor k's agent in row
+    k of C, and the t-th of ``scenario.target_ids()`` in column t of B
+    (an agent) or D (an observer)."""
+    top = sys.topology
+    n, m, p = top.n, top.m, sys.scenario.num_inputs
+    A, B = np.zeros((n, n), dtype=bool), np.zeros((n, p), dtype=bool)
+    C, D = np.zeros((m, n), dtype=bool), np.zeros((m, p), dtype=bool)
+    for (sender, receiver) in top.agent_edges:
+        A[receiver - 1, sender - 1] = True
+    for k, j in top.observer_assignment.items():
+        C[k - 1, j - 1] = True
+    for t, target in enumerate(sys.scenario.target_ids()):
+        if target.startswith("x"):
+            B[parse_agent_id(target) - 1, t] = True
+        else:
+            D[parse_observer_id(target) - 1, t] = True
+    return A, B, C, D
 
 
 def brute_max_linking(sys: StructuredSystem) -> int:

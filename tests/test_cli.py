@@ -331,6 +331,12 @@ def certify_pair_json(tmp_path, **header):
     return certify_text(tmp_path, json.dumps(dict(doc, **header)))
 
 
+def agentless_file(tmp_path):
+    path = tmp_path / "agentless.txt"
+    path.write_text("0 0 0\n")
+    return path
+
+
 MALFORMED = {
     "null n": lambda d: certify_pair_json(d, n=None),
     "null p": lambda d: certify_pair_json(d, p=None),
@@ -361,6 +367,9 @@ MALFORMED = {
         d, edges=[["x1", "x1"], ["x2", "x2"], {"x1": 0, "x2": 0}]),
     "object-shaped sensor": lambda d: certify_pair_json(
         d, sensors=[{"y1": 0, "x2": 0}]),
+    "simulate without agents": lambda d: ["simulate", "--topology", str(agentless_file(d))],
+    "attack without agents": lambda d: ["attack", "--topology", str(agentless_file(d)),
+                                        "--attack", ","],
 }
 
 

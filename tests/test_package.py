@@ -1,8 +1,9 @@
 """The package surface, and which layers a program loads.
 
 The graph layer and the graph-only CLI commands, and a numeric command
-refused for a bad --eta or --seed, must run on the standard library alone; numpy
-loads with the first numeric name, and scipy never does.
+refused for a bad --eta or --seed or an empty attack set, must run on the
+standard library alone; numpy loads with the first numeric name, and scipy
+never does.
 """
 
 import json
@@ -34,6 +35,7 @@ runs = [
     ["certify", "--topology", "bad.json"],
     ["simulate", "--topology", "dense.txt", "--eta", "-1"],
     ["attack", "--topology", "dense.txt", "--attack", "x1", "--seed", "-5"],
+    ["attack", "--topology", "dense.txt", "--attack", ","],
 ]
 codes = [main(argv) for argv in runs]
 numeric = ("numpy", "scipy")
@@ -51,7 +53,7 @@ def test_graph_only_runs_load_neither_numpy_nor_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2]
+    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2, 2]
     assert report["graph_only"] == []
     assert report["after_realize"] == ["numpy"]
 
@@ -73,9 +75,9 @@ def test_numeric_names_are_the_exports_simulation_defines():
 
 
 def test_numeric_names_import_from_the_package():
-    from stealthguard import realize, state_pattern
+    from stealthguard import realize, spectral_radius
     assert realize is simulation.realize
-    assert state_pattern is simulation.state_pattern
+    assert spectral_radius is simulation.spectral_radius
 
 
 def test_numeric_names_are_looked_up_on_every_access(monkeypatch):

@@ -14,25 +14,22 @@ from stealthguard import (
     Realization,
     StructuredSystem,
     SynthesisSpec,
-    attack_output_pattern,
-    attack_state_pattern,
     false_alarm_rate,
     find_perfect_attack,
     is_structurally_left_invertible,
     load_topology,
     normal_rank,
-    output_pattern,
     realize,
     simulate,
     spectral_radius,
-    state_pattern,
     synthesize,
     synthesize_platoon,
 )
 from stealthguard.simulation import _chi_square_95th_percentile, _is_prime, _random_prime, \
     _rank_mod, _residues
 
-from oracles import brute_max_linking, evaluate_transfer, random_topology
+from oracles import brute_max_linking, evaluate_transfer, random_topology, \
+    reference_patterns
 
 
 def make_system(n, m, edges, sensors, agents=(), observers=()):
@@ -58,20 +55,35 @@ def test_realize_preserves_patterns_and_stabilizes():
     rng = np.random.default_rng(9)
     for seed in range(100):
         t = random_topology(rng, n_max=5)
-        if t.n + t.m == 0:
-            continue
         agents = {int(v) + 1 for v in rng.permutation(t.n)[: int(rng.integers(0, t.n + 1))]}
-        scen = AttackScenario(compromised_agents=agents, compromised_observers=set(),
-                              p_bound=max(1, len(agents)))
+        observers = {int(v) + 1 for v in rng.permutation(t.m)[: int(rng.integers(0, t.m + 1))]}
+        scen = AttackScenario(compromised_agents=agents, compromised_observers=observers,
+                              p_bound=max(1, len(agents) + len(observers)))
         sys = StructuredSystem(topology=t, scenario=scen)
         real = realize(sys, seed=seed)
-        assert np.array_equal(real.A != 0, state_pattern(t))
-        assert np.array_equal(real.C != 0, output_pattern(t))
-        assert np.array_equal(real.B != 0, attack_state_pattern(sys))
-        assert np.array_equal(real.D != 0, attack_output_pattern(sys))
+        for mat, pattern in zip((real.A, real.B, real.C, real.D), reference_patterns(sys)):
+            assert np.array_equal(mat != 0, pattern)
+        assert all(np.isin(mat, (0.0, 1.0)).all() for mat in (real.B, real.C, real.D))
         assert abs(spectral_radius(real.A) - 0.9) < 1e-9
         if t.m:
             assert spectral_radius(real.A - real.K @ real.C @ real.A) < 1.0
+
+
+def test_realize_refuses_a_topology_without_agents():
+    sys = make_system(0, 0, set(), {})
+    with pytest.raises(ValueError, match="at least one agent"):
+        realize(sys)
+
+
+def test_realization_arrays_are_read_only_copies():
+    real = realize(hidden_pair(), seed=1)
+    for name in ("A", "B", "C", "D", "Q", "R", "K", "residue_cov"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(real, name)[0, 0] = np.nan
+    given = real.A.copy()
+    copied = dataclasses.replace(real, A=given)
+    given[0, 0] = np.nan
+    assert copied.A[0, 0] == real.A[0, 0]
 
 
 def test_realize_validates_arguments():

@@ -11,18 +11,15 @@ from stealthguard import (
     StructuredSystem,
     SynthesisSpec,
     TopologyFormatError,
-    attack_output_pattern,
-    attack_state_pattern,
     build_separator_graph,
     certify_robustness,
     format_topology,
     load_topology,
     min_links_value,
     optimal_sensor_count,
-    output_pattern,
     parse_topology,
+    realize,
     save_topology,
-    state_pattern,
     synthesize,
     synthesize_platoon,
     topology_graph,
@@ -169,24 +166,22 @@ def test_separator_graph_reachability_matches_topology():
 
 def test_patterns_shapes_and_round_trip():
     t = ring(4, m=2)
-    a_pat = state_pattern(t)
-    c_pat = output_pattern(t)
-    assert a_pat.shape == (4, 4) and c_pat.shape == (2, 4)
-    assert a_pat.sum() == t.link_count
-    assert c_pat.sum() == t.m
+    empty = AttackScenario(compromised_agents=set(), compromised_observers=set(), p_bound=0)
+    real = realize(StructuredSystem(topology=t, scenario=empty))
+    assert real.A.shape == (4, 4) and real.C.shape == (2, 4)
+    assert np.count_nonzero(real.A) == t.link_count
+    assert np.count_nonzero(real.C) == t.m
     # receiver indexes the row: edge (1, 2) lands in row 2, column 1
-    assert a_pat[1, 0]
+    assert real.A[1, 0] != 0 and real.A[0, 1] == 0
 
 
 def test_attack_patterns_add_input_columns():
     t = ring(3, m=1)
     scen = AttackScenario(compromised_agents={2}, compromised_observers={1}, p_bound=2)
-    sys = StructuredSystem(topology=t, scenario=scen)
-    b_pat = attack_state_pattern(sys)
-    d_pat = attack_output_pattern(sys)
-    assert b_pat.shape == (3, 2) and d_pat.shape == (1, 2)
-    assert b_pat[1, 0] and b_pat.sum() == 1  # u1 drives x2
-    assert d_pat[0, 1] and d_pat.sum() == 1  # u2 corrupts y1
+    real = realize(StructuredSystem(topology=t, scenario=scen))
+    assert real.B.shape == (3, 2) and real.D.shape == (1, 2)
+    assert real.B[1, 0] == 1 and real.B.sum() == 1  # u1 drives x2
+    assert real.D[0, 1] == 1 and real.D.sum() == 1  # u2 corrupts y1
 
 
 def test_scenario_validation():
