@@ -22,7 +22,7 @@ import sys
 from .design import SynthesisSpec, min_links_value, optimal_sensor_count, \
     synthesize, synthesize_platoon
 from .separators import certify_robustness, max_linking
-from .topology import AttackScenario, StructuredSystem, _alarm_threshold, \
+from .topology import AttackScenario, StructuredSystem, _alarm_threshold, _check_horizon, \
     format_topology, load_topology, parse_agent_id, parse_observer_id, save_topology
 
 DEFAULT_SEED = 1729
@@ -198,11 +198,12 @@ def _max_abs(values) -> float:
 
 
 def cmd_simulate(args) -> int:
+    system = _load_system(args)
+    _check_horizon(args.horizon)  # before numpy loads and inputs are drawn for it
     import numpy as np
 
-    from .simulation import _check_horizon, simulate, write_trace
-    _check_horizon(args.horizon)  # before the inputs are drawn for it
-    real = _realize(args, _load_system(args))
+    from .simulation import simulate, write_trace
+    real = _realize(args, system)
     if real.num_inputs:
         input_rng = np.random.default_rng([args.seed, 1])
         inputs = input_rng.standard_normal((args.horizon, real.num_inputs))

@@ -14,6 +14,17 @@ indicators placed from the observer assignment and the attack set; and a
 steady-state one-step filter with gain K feeds a chi-square residue
 detector with threshold eta.
 
+The gain comes from the fixed point P of the filter's Riccati recursion,
+computed by structure-preserving doubling (Chu, Fan & Lin, 2005): the
+k-th doubling reaches the covariance of 2^k - 1 plain steps, so about
+ten O(n^3) doublings replace hundreds of plain steps. The recursion is
+written for the measurement one step back, y_k = (CA) x_{k-1} + (C w_{k-1}
++ v_k), whose noise covariance CQC^T + R is the only matrix inverted;
+that one formulation serves a zero, a positive definite and a singular
+measurement noise R alike. The doubling stops once its change to the
+covariance is below rounding or no longer shrinks, and the relative
+fixed-point residual of one plain step at P decides whether it converged.
+
 The stealthy-input search asks whether some nonzero attack sequence
 produces exactly zero output deviation. That happens exactly when the
 attack-to-output transfer matrix loses column rank. Only the r states
@@ -48,15 +59,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import StructuredSystem, _alarm_threshold, _whole_number
+from .topology import StructuredSystem, _alarm_threshold, _check_horizon, _whole_number
 
 
 # Both numeric failures are ValueErrors: they reject an input the numerics
 # cannot handle, so callers, the CLI included, treat them like bad input.
 class FilterConvergenceError(ValueError):
-    """The steady-state gain iteration failed to converge, or a Realization
-    was given a filter that is unstable (spectral radius of A - KCA at
-    least one), which its constructor refuses."""
+    """The steady-state gain has no solution or was not found, or a
+    Realization was given a filter that is unstable (spectral radius of
+    A - KCA at least one), which its constructor refuses.
+
+    The gain fails when the innovation covariance CQC^T + R of the first
+    step is singular ("innovation covariance is singular"), or when the
+    doubling ends with a relative Riccati fixed-point residual above 1e-10
+    or a non-finite iterate; that message reports the residual and the
+    number of doublings."""
 
 
 class NullspaceAmbiguityError(ValueError):
@@ -141,13 +158,6 @@ class Realization:
         return self.B.shape[1]
 
 
-def _check_horizon(horizon) -> int:
-    horizon = _whole_number(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    return horizon
-
-
 def _as_cov(value, dim: int, default: float) -> np.ndarray:
     if value is None:
         return np.eye(dim) * default
@@ -168,34 +178,102 @@ def _as_cov(value, dim: int, default: float) -> np.ndarray:
     return cov
 
 
-def _steady_state_filter(A, C, Q, R, tol=1e-12, max_iter=50_000):
-    """Iterate the prediction covariance to steady state; returns (K, S)."""
+def _doublings(A, C, Q, R):
+    """Yield H_0, H_1, ...: H_k is the filtered covariance of the plain
+    Riccati recursion after 2^k - 1 steps from the prediction covariance Q.
+
+    The recursion is the one `_steady_state_filter` describes. It is
+    rewritten for the measurement one step back, y_k = (CA) x_{k-1} +
+    (C w_{k-1} + v_k), whose noise has covariance S0 = CQC^T + R and
+    correlation QC^T with the process noise. With J = S0^-1 [CA, CQ], the
+    doubling starts from A_0 = (A - (CQ)^T J_1)^T, G_0 = (CA)^T J_1 and
+    H_0 = Q - (CQ)^T J_2, and each step, with W = I + G_k H_k, sets
+
+        A_{k+1} = A_k W^-1 A_k
+        G_{k+1} = G_k + A_k W^-1 G_k A_k^T
+        H_{k+1} = H_k + A_k^T H_k W^-1 A_k
+
+    (Chu, Fan & Lin's structure-preserving doubling). Only S0 is inverted,
+    so R may be zero or singular; a singular S0 is a FilterConvergenceError.
+    """
     n = A.shape[0]
-    m = C.shape[0]
+    CA, CQ = C @ A, C @ Q
+    try:
+        J = np.linalg.solve(CQ @ C.T + R, np.hstack([CA, CQ]))
+    except np.linalg.LinAlgError:
+        raise FilterConvergenceError(
+            "innovation covariance is singular; the gain iteration needs "
+            "process or measurement noise") from None
+    J1, J2 = J[:, :n], J[:, n:]
+    Ak = (A - CQ.T @ J1).T
+    G = CA.T @ J1
+    G = (G + G.T) / 2
+    H = Q - CQ.T @ J2
+    H = (H + H.T) / 2
+    identity = np.eye(n)
+    while True:
+        yield H
+        # W = I + GH with G, H positive semidefinite has no eigenvalue below
+        # 1; one inverse costs less than a solve for 2n right-hand sides
+        W_inv = np.linalg.inv(identity + G @ H)
+        WA, WG = W_inv @ Ak, W_inv @ G
+        G = G + Ak @ WG @ Ak.T
+        G = (G + G.T) / 2
+        H = H + Ak.T @ H @ WA
+        H = (H + H.T) / 2
+        Ak = Ak @ WA
+
+
+# Doubling k covers 2^k plain steps, so the cap is never the binding limit.
+_MAX_DOUBLINGS = 64
+# Largest relative fixed-point residual of one plain step that counts as
+# converged; converged gains measure around 1e-15.
+_RESIDUAL_TOL = 1e-10
+
+
+def _steady_state_filter(A, C, Q, R):
+    """Steady-state prediction covariance P and gain; returns (K, S).
+
+    P is the fixed point of the plain Riccati recursion S = CPC^T + R,
+    P <- A (P - P C^T S^-1 C P) A^T + Q, started from P = Q. `_doublings`
+    reaches the filtered covariance H after 2^k - 1 of its steps in k
+    doublings, and converges quadratically. It stops once a doubling
+    changes H by at most one unit in the last place of H's largest entry,
+    or once the change no longer shrinks although it is already below
+    sqrt(eps) of that entry: rounding then dominates. Then P = AHA^T + Q,
+    S = CPC^T + R and K = (S^-1 CP)^T. The verdict is the relative
+    fixed-point residual max|step(P) - P| / max|P| of one plain step at
+    P: above 1e-10, or not finite, it is a FilterConvergenceError that
+    reports the residual and the number of doublings.
+    """
+    n, m = A.shape[0], C.shape[0]
     if m == 0:
         return np.zeros((n, 0)), np.zeros((0, 0))
-    P = Q.copy()
-    for _ in range(max_iter):
-        S = C @ P @ C.T + R
-        try:
-            gain_t = np.linalg.solve(S, C @ P)  # equals (P C^T S^-1)^T
-        except np.linalg.LinAlgError:
-            raise FilterConvergenceError(
-                "innovation covariance is singular; the gain iteration needs "
-                "process or measurement noise") from None
-        P_filtered = P - gain_t.T @ (C @ P)
-        P_next = A @ P_filtered @ A.T + Q
-        P_next = (P_next + P_next.T) / 2
-        if np.max(np.abs(P_next - P)) <= tol * (1 + np.max(np.abs(P_next))):
-            P = P_next
+    eps = np.finfo(float).eps
+    iterates = _doublings(A, C, Q, R)
+    H = next(iterates)
+    previous = math.inf
+    for doublings, H_next in zip(range(1, _MAX_DOUBLINGS + 1), iterates):
+        step = float(np.max(np.abs(H_next - H)))
+        H = H_next
+        scale = float(np.max(np.abs(H)))
+        if not math.isfinite(step) or step <= eps * scale:
             break
-        P = P_next
-    else:
-        raise FilterConvergenceError(
-            f"gain iteration did not converge within {max_iter} steps")
+        if previous <= step <= math.sqrt(eps) * scale:  # no longer shrinking
+            break
+        previous = step
+    P = A @ H @ A.T + Q
+    P = (P + P.T) / 2
     S = C @ P @ C.T + R
-    K = np.linalg.solve(S, C @ P).T
-    return K, (S + S.T) / 2
+    gain_t = np.linalg.solve(S, C @ P)  # equals (P C^T S^-1)^T
+    P_next = A @ (P - gain_t.T @ (C @ P)) @ A.T + Q
+    residual = (float(np.max(np.abs(P_next - P)))
+                / max(float(np.max(np.abs(P))), np.finfo(float).tiny))
+    if not residual <= _RESIDUAL_TOL:
+        raise FilterConvergenceError(
+            f"gain iteration did not converge: relative Riccati residual "
+            f"{residual:.3g} after {doublings} doublings")
+    return gain_t.T, (S + S.T) / 2
 
 
 # ---- alarm threshold ----
@@ -257,11 +335,19 @@ def realize(sys: StructuredSystem, seed: int = 0,
     rescaled so its spectral radius hits the target (default 0.9, must be
     inside the unit circle). Process noise defaults to the identity,
     measurement noise to zero, and eta to the 95th percentile of a
-    chi-square with one degree of freedom per sensor. A noise given as a
-    scalar variance must be finite and nonnegative, one given as a
-    covariance matrix finite, symmetric and positive semidefinite. The
-    returned Realization checks itself (see there); a gain whose filter
-    comes out unstable raises FilterConvergenceError.
+    chi-square with one degree of freedom per sensor. The seed must be an
+    integer and the target a real number, or ValueError. A noise given as
+    a scalar variance must be finite and nonnegative, one given as a
+    covariance matrix finite, symmetric and positive semidefinite.
+
+    K and residue_cov come from the steady-state prediction covariance P,
+    found by doubling (`_steady_state_filter`): about ten O(n^3) steps, for
+    R zero, positive definite or singular alike, as long as CQC^T + R is
+    invertible. K = P C^T S^-1 and residue_cov = S = CPC^T + R. A singular
+    CQC^T + R, a doubling that ends with a relative Riccati residual above
+    1e-10, and a gain whose filter comes out unstable each raise
+    FilterConvergenceError. The returned Realization checks itself (see
+    there).
 
     The topology and attack set fix where the entries go: the coupling of
     each agent edge (sender a, receiver b) lies in row b, column a, and the
@@ -270,8 +356,12 @@ def realize(sys: StructuredSystem, seed: int = 0,
     t-th target, agents ascending and then observers ascending, through
     column t of B or D. A topology with no agents is a ValueError.
     """
-    if not 0 < spectral_radius_target < 1:
-        raise ValueError("spectral radius target must lie in (0, 1)")
+    seed = _whole_number(seed, "seed")
+    # the comparison is also false for NaN; a string is not a real number
+    if not (isinstance(spectral_radius_target, numbers.Real)
+            and 0 < spectral_radius_target < 1):
+        raise ValueError(f"spectral radius target must be a real number in (0, 1), "
+                         f"got {spectral_radius_target!r}")
     top, scenario = sys.topology, sys.scenario
     n, m = top.n, top.m
     if n == 0:
@@ -419,7 +509,7 @@ def normal_rank(real: Realization, seed: int = 0) -> int:
     that minor's coefficients, so each draw errs with a tiny probability.
     No float threshold takes part.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole_number(seed, "seed"))
     A, B, C = _reachable_part(real)
     best = 0
     for _ in range(_RANK_TRIALS):
@@ -618,6 +708,7 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     Realization checks both when it is built.
     """
     horizon = _check_horizon(horizon)
+    seed = _whole_number(seed, "seed")
     n, m = real.n, real.m
     if attack is None:
         inputs = None
@@ -675,6 +766,7 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     """
     samples = _whole_number(samples, "samples")
     burn_in = _whole_number(burn_in, "burn_in")
+    seed = _whole_number(seed, "seed")
     if samples < 1 or burn_in < 0:
         raise ValueError("need samples >= 1 and burn_in >= 0")
     threshold = real.eta if eta is None else _alarm_threshold(eta)

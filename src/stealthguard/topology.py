@@ -73,6 +73,15 @@ def _whole_number(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_horizon(horizon) -> int:
+    """A positive whole step count; the CLI checks --horizon with it before
+    numpy loads."""
+    horizon = _whole_number(horizon, "horizon")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    return horizon
+
+
 def _alarm_threshold(eta) -> float:
     """``eta`` as a float, or ValueError unless it is finite and
     nonnegative. The CLI checks --eta with it before numpy loads, and

@@ -3,8 +3,9 @@
 Everything here trades speed for obvious correctness: exhaustive subset
 removal for separators, exhaustive path-family search for linkings,
 exhaustive attack-set enumeration for robustness verdicts, graphs
-built one ``Digraph.add_edge`` at a time, and the attack-to-output
-transfer matrix evaluated in floating point.
+built one ``Digraph.add_edge`` at a time, the attack-to-output
+transfer matrix evaluated in floating point, and the filter's Riccati
+recursion stepped one step at a time.
 """
 
 from itertools import combinations
@@ -234,3 +235,17 @@ def evaluate_transfer(real, z: complex) -> np.ndarray:
     n = real.n
     resolvent = np.linalg.solve(z * np.eye(n) - real.A, real.B)
     return real.C @ resolvent + real.D
+
+
+def plain_riccati(A, C, Q, R, steps: int):
+    """The steady-state filter's Riccati recursion, stepped `steps` times
+    from the prediction covariance P = Q, in its textbook form: K = P C^T
+    (C P C^T + R)^-1, filtered covariance (I - K C) P, next P = A (I - K C)
+    P A^T + Q. Returns the filtered covariance and K at the last P."""
+    identity = np.eye(len(A))
+    P = Q
+    for _ in range(steps):
+        K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
+        P = A @ (identity - K @ C) @ P @ A.T + Q
+    K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
+    return (identity - K @ C) @ P, K

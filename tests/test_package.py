@@ -36,6 +36,8 @@ runs = [
     ["simulate", "--topology", "dense.txt", "--eta", "-1"],
     ["attack", "--topology", "dense.txt", "--attack", "x1", "--seed", "-5"],
     ["attack", "--topology", "dense.txt", "--attack", ","],
+    ["simulate", "--topology", "bad.json"],
+    ["simulate", "--topology", "dense.txt", "--horizon", "0"],
 ]
 codes = [main(argv) for argv in runs]
 numeric = ("numpy", "scipy")
@@ -53,7 +55,7 @@ def test_graph_only_runs_load_neither_numpy_nor_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2, 2]
+    assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
     assert report["graph_only"] == []
     assert report["after_realize"] == ["numpy"]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,10 +26,11 @@ from stealthguard import (
     synthesize,
     synthesize_platoon,
 )
-from stealthguard.simulation import _chi_square_95th_percentile, _is_prime, _random_prime, \
-    _rank_mod, _residues
+from stealthguard import simulation
+from stealthguard.simulation import _chi_square_95th_percentile, _doublings, _is_prime, \
+    _random_prime, _rank_mod, _residues
 
-from oracles import brute_max_linking, evaluate_transfer, random_topology, \
+from oracles import brute_max_linking, evaluate_transfer, plain_riccati, random_topology, \
     reference_patterns
 
 
@@ -152,6 +154,56 @@ def test_realize_accepts_noise_configuration():
     assert np.array_equal(custom.Q, np.diag([1.0, 3.0]))
     with pytest.raises(ValueError):
         realize(sys, process_noise=np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("noise", [
+    {},
+    {"measurement_noise": 0.5},
+    {"measurement_noise": np.diag([0.0, 0.3])},
+    {"process_noise": np.diag([0.5, 2.0, 1.0, 3.0])},
+], ids=["R-zero", "R-half-identity", "R-with-a-zero-entry", "Q-diagonal"])
+def test_doubling_k_times_equals_two_to_the_k_minus_one_plain_steps(noise):
+    sys = make_system(4, 2, {(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (2, 3), (3, 4), (4, 1)},
+                      {1: 1, 2: 3})
+    real = realize(sys, seed=5, **noise)
+    iterates = _doublings(real.A, real.C, real.Q, real.R)
+    for k in range(5):
+        filtered, _ = plain_riccati(real.A, real.C, real.Q, real.R, 2**k - 1)
+        assert _relative_error(next(iterates), filtered) <= 1e-12, k
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_gain_matches_a_long_plain_recursion(seed):
+    built = synthesize_platoon(45, 2, 2, observers_attackable=False)
+    scen = AttackScenario(compromised_agents={1, 2}, compromised_observers=set(), p_bound=2)
+    real = realize(StructuredSystem(topology=built.topology, scenario=scen), seed=seed)
+    _, K = plain_riccati(real.A, real.C, real.Q, real.R, 5000)
+    assert _relative_error(real.K, K) <= 1e-12
+
+
+def test_gain_needs_an_invertible_innovation_covariance():
+    # no process noise reaches the observed agent and its sensor is exact
+    sys = make_system(2, 1, {(1, 1), (2, 2), (2, 1)}, {1: 1})
+    with pytest.raises(FilterConvergenceError, match="innovation covariance is singular"):
+        realize(sys, process_noise=np.diag([0.0, 1.0]))
+    realize(sys, process_noise=np.diag([0.0, 1.0]), measurement_noise=0.1)
+
+
+def test_unconverged_gain_reports_its_residual_and_doublings(monkeypatch):
+    built = synthesize_platoon(45, 2, 2, observers_attackable=False)
+    sys = StructuredSystem(topology=built.topology, scenario=AttackScenario(
+        compromised_agents={1, 2}, compromised_observers=set(), p_bound=2))
+    monkeypatch.setattr(simulation, "_RESIDUAL_TOL", -1.0)  # no residual passes
+    with pytest.raises(FilterConvergenceError, match="did not converge") as info:
+        realize(sys, seed=1)
+    residual, doublings = re.search(r"residual (\S+) after (\d+) doublings",
+                                    str(info.value)).groups()
+    assert float(residual) <= 1e-12
+    assert 1 <= int(doublings) <= 12
 
 
 def test_transfer_matches_closed_form():
@@ -440,13 +492,28 @@ def test_simulate_rejects_non_finite_attack_inputs():
     (find_perfect_attack, {"horizon": 6.7}),
     (find_perfect_attack, {"horizon": "8"}),
     (simulate, {"horizon": 2.5}),
-], ids=["attack-float-horizon", "attack-str-horizon", "simulate-float-horizon"])
+    (simulate, {"seed": 1.5}),
+    (normal_rank, {"seed": "3"}),
+    (false_alarm_rate, {"samples": 100, "seed": 2.5}),
+], ids=["attack-float-horizon", "attack-str-horizon", "simulate-float-horizon",
+        "simulate-float-seed", "rank-str-seed", "calibration-float-seed"])
 def test_count_arguments_must_be_integers(call, kwargs):
     real = realize(hidden_pair(), seed=3)
     with pytest.raises(ValueError, match="must be an integer"):
         call(real, **kwargs)
     whole = {name: np.int64(int(float(value))) for name, value in kwargs.items()}
     call(real, **whole)
+
+
+def test_realize_seed_must_be_an_integer_and_target_a_real_number():
+    sys = hidden_pair()
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        realize(sys, seed=1.5)
+    for target in ("0.5", None, 1j):
+        with pytest.raises(ValueError, match="must be a real number"):
+            realize(sys, spectral_radius_target=target)
+    real = realize(sys, seed=np.int64(2), spectral_radius_target=np.float64(0.5))
+    assert np.array_equal(real.K, realize(sys, seed=2, spectral_radius_target=0.5).K)
 
 
 def test_simulate_without_attack_has_zero_deviation():
