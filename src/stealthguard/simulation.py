@@ -34,21 +34,32 @@ the search both work on this reachable part, however large the rest of
 the system is. The rank is decided in exact arithmetic: every double is
 a dyadic rational, so the Rosenbrock pencil [zI-A, -B; C, D] of the
 reachable part reduces exactly modulo a prime q, and its rank over GF(q)
-at a random z is a lower bound on its generic rank. Full rank therefore
-proves that no stealthy input exists, with no float threshold involved.
-Only a rank-deficient realization builds the block-Toeplitz map from 2r
-input steps to the output deviations of the reachable part, with r extra
-trailing output rows (inputs off) so a null vector stays invisible for
-all time rather than for a truncated window; its SVD supplies the
-witness, which is re-verified by simulating the whole system.
+at a random z is a lower bound on the rank. Full rank therefore proves
+that no stealthy input exists, with no float threshold involved. The
+largest vertex-disjoint input-to-sensor linking in the nonzero pattern
+of the reachable part is an upper bound (van der Woude, 1991), so a draw
+that meets it proves a deficient rank just as exactly; a realization
+drawn by ``realize`` is generic almost surely and meets it at the first
+draw. Only a rank-deficient realization builds the block-Toeplitz map
+from 2r input steps to the output deviations of the reachable part, with
+r extra trailing output rows (inputs off) so a null vector stays
+invisible for all time rather than for a truncated window; its SVD
+supplies the witness, which is re-verified by simulating the whole
+system.
 
-One stepper, ``_run``, advances plant and filter for every trajectory:
-the noisy nominal run of ``simulate`` and the deviation run (nominal
-minus attacked) that ``simulate`` and the witness replay of
-``find_perfect_attack`` share. Its filter updates from the first
-measurement on. The deviation run is noise-free: by linearity the noise
-terms cancel exactly, so deviations never depend on whether noise is
-switched on.
+One stepper, ``_recursion``, steps every trajectory: the linear
+recursion x_{k+1} = x_k T + d_k, one row per step. A run of plant and
+filter calls it twice, once for the plant (T = A^T, drive w) and once
+for the filter's prediction error e_k = x_k - A xhat_{k-1} (T = (A -
+AKC)^T, drive w - v (AK)^T), whose estimate updates from the first
+measurement on; outputs, residues z = Ce + v and estimates xhat = x - e
++ Kz are then batch products. ``simulate`` runs both for its noisy
+nominal run and for the deviation run (nominal minus attacked); the
+witness replay of ``find_perfect_attack`` reads only state and output
+deviations and runs the plant alone, and ``false_alarm_rate`` steps the
+error recursion for a block of replicas at a time. The deviation run is
+noise-free: by linearity the noise terms cancel exactly, so deviations
+never depend on whether noise is switched on.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .separators import _VertexFlowNet
 from .topology import StructuredSystem, _alarm_threshold, _check_horizon, _whole_number
 
 
@@ -104,9 +116,9 @@ class Realization:
     into the given arrays, or into the stored ones, can undo its checks.
     It checks everything the numeric functions assume, so none of them
     checks it again: the shapes agree, every entry is finite (ValueError),
-    eta is finite and nonnegative (ValueError), and with m > 0 sensors the
-    filter is stable, the spectral radius of A - KCA below one
-    (FilterConvergenceError). `dataclasses.replace` runs the same checks.
+    eta is a real number, finite and nonnegative (ValueError), and with
+    m > 0 sensors the filter is stable, the spectral radius of A - KCA
+    below one (FilterConvergenceError). `dataclasses.replace` runs the same checks.
     """
 
     A: np.ndarray
@@ -489,32 +501,58 @@ def _pencil_rank(A, B, C, D, rng) -> int:
     return _rank_mod(pencil, q) - len(A)
 
 
-# Independent (z, q) draws before normal_rank reports a deficient rank.
+def _linking_bound(A, B, C, D) -> int:
+    """Largest family of vertex-disjoint paths from the inputs to the
+    sensors in the nonzero pattern of [A, B; C, D]: an input feeds the
+    states and sensors its column of [B; D] touches, a state those its
+    column of [A; C] touches. By van der Woude (1991) that is the generic
+    rank of the transfer matrix over every realization of the pattern, so
+    no realization's normal rank exceeds it."""
+    r, m, p_in = len(A), len(C), B.shape[1]
+    source, sink = r + m + p_in, r + m + p_in + 1
+    succ = ([np.flatnonzero(col).tolist() for col in np.vstack([A, C]).T]
+            + [[sink]] * m
+            + [np.flatnonzero(col).tolist() for col in np.vstack([B, D]).T]
+            + [list(range(r + m, r + m + p_in)), []])
+    return _VertexFlowNet(succ, sink).max_flow(source)
+
+
+# Independent (z, q) draws before normal_rank reports a rank below its
+# linking bound.
 _RANK_TRIALS = 7
 
 
 def normal_rank(real: Realization, seed: int = 0) -> int:
-    """Generic rank of the attack-to-output transfer matrix, decided exactly.
+    """Normal rank of the attack-to-output transfer matrix, decided exactly.
 
     Only the r states the attack reaches enter the transfer matrix, so
-    the pencil is built from that part (`_reachable_part`). Each trial
+    the pencil is built from that part (`_reachable_part`). Each draw
     takes the rank of the Rosenbrock pencil over GF(q) at a random point
     z, for a fresh random prime q < 2**31, and subtracts r. That is a
-    lower bound on the generic rank, so reaching the number of attack
-    inputs ends the loop and proves the map has full column rank: no
-    stealthy input exists. A deficient rank is returned only after 7
-    independent (z, q) draws all fell short, the largest seen. A
-    draw falls short of the true rank only when z is a root of a nonzero
-    minor (at most r of the q points; Schwartz-Zippel) or q divides all of
-    that minor's coefficients, so each draw errs with a tiny probability.
-    No float threshold takes part.
+    lower bound on the rank, so reaching the number of attack inputs ends
+    the loop and proves the map has full column rank: no stealthy input
+    exists. After the first draw that falls short, the linking bound of
+    the reachable part's nonzero pattern (`_linking_bound`) is computed
+    once; it is an upper bound, so a draw that meets it proves a
+    deficient rank too. A realization drawn by `realize` is generic
+    almost surely, and its first draw then meets the bound. Only a
+    non-generic realization, whose rank lies below its linking, returns
+    after 7 independent (z, q) draws, the largest seen. A draw falls
+    short of the true rank only when z is a root of a nonzero minor (at
+    most r of the q points; Schwartz-Zippel) or q divides all of that
+    minor's coefficients, so that last answer errs with a tiny
+    probability. No float threshold takes part.
     """
     rng = np.random.default_rng(_whole_number(seed, "seed"))
     A, B, C = _reachable_part(real)
-    best = 0
+    best, linking = 0, None
     for _ in range(_RANK_TRIALS):
         best = max(best, _pencil_rank(A, B, C, real.D, rng))
         if best == real.num_inputs:
+            break
+        if linking is None:
+            linking = _linking_bound(A, B, C, real.D)
+        if best == linking:
             break
     return best
 
@@ -527,13 +565,14 @@ class AttackTrace:
 
     inputs holds one row per step of the input horizon; the attack is off
     after it. `simulate(real, attack=trace)` replays the deviations it
-    causes through `_run`, the stepper that checked the witness, whose
-    filter updates from step 0. min_singular_value is the smallest
-    singular value of the block-Toeplitz map the inputs were taken from,
-    the one of the reachable part that `find_perfect_attack` builds (0.0
-    when that map is wider than tall): how close the float witness sits
-    to the exact null space. It reports on the witness only; the
-    existence of the attack was decided exactly.
+    causes through the same plant recursion that checked the witness,
+    and the filter's prediction-error recursion, which updates from step
+    0. min_singular_value is the smallest singular value of the
+    block-Toeplitz map the inputs were taken from, the one of the
+    reachable part that `find_perfect_attack` builds (0.0 when that map
+    is wider than tall): how close the float witness sits to the exact
+    null space. It reports on the witness only; the existence of the
+    attack was decided exactly.
     """
 
     inputs: np.ndarray
@@ -541,43 +580,47 @@ class AttackTrace:
     min_singular_value: float
 
 
-def _run(real: Realization, x0, plant_in, sensor_in):
-    """Step plant and filter for len(plant_in) steps.
+def _recursion(x0, transition_t, drive) -> np.ndarray:
+    """Rows x_0, ..., x_steps of x_{k+1} = x_k @ transition_t + drive[k],
+    steps = len(drive). x0 is one row, or a stack of rows stepped side by
+    side; drive[k] has its shape."""
+    rows = np.empty((len(drive) + 1,) + np.shape(x0))
+    rows[0] = x = x0
+    for k, d in enumerate(drive, start=1):
+        x = x @ transition_t + d
+        rows[k] = x
+    return rows
 
-    The plant is x_{k+1} = A x_k + plant_in[k] from x_0 = x0 and reads
-    y_k = C x_k + sensor_in[k]. The filter starts from a zero estimate
-    and updates from step 0 on: the residue is y_k minus C times the
-    prediction A xhat_{k-1}, and xhat_k is the prediction plus K times the
-    residue, so the first residue is y_0. Returns (states, estimates,
-    outputs, residues), one row per step.
+
+def _plant(real: Realization, x0, plant_in, sensor_in):
+    """States x_{k+1} = A x_k + plant_in[k] from x_0 = x0, and outputs
+    y_k = C x_k + sensor_in[k], one row per step of plant_in."""
+    states = _recursion(x0, real.A.T, plant_in)[:-1]
+    return states, states @ real.C.T + sensor_in
+
+
+def _prediction_errors(real: Realization, x0, plant_in, sensor_in):
+    """Prediction errors and residues of the filter on the plant of `_plant`.
+
+    The filter starts from a zero estimate and updates from step 0 on:
+    xhat_k = A xhat_{k-1} + K z_k with residue z_k = y_k - C A xhat_{k-1}.
+    So the error e_k = x_k - A xhat_{k-1} starts at e_0 = x0, steps as
+    e_{k+1} = (A - AKC) e_k + plant_in[k] - AK sensor_in[k], and gives
+    z_k = C e_k + sensor_in[k]; the estimate is xhat_k = x_k - e_k + K z_k.
+    Returns (errors, residues), one row per step.
     """
-    A, C, K = real.A, real.C, real.K
-    steps, n, m = len(plant_in), real.n, real.m
-    states = np.zeros((steps, n))
-    estimates = np.zeros((steps, n))
-    outputs = np.zeros((steps, m))
-    residues = np.zeros((steps, m))
-    x = x0
-    xh = np.zeros(n)
-    for k in range(steps):
-        states[k] = x
-        y = C @ x + sensor_in[k]
-        outputs[k] = y
-        predicted = A @ xh
-        residues[k] = y - C @ predicted
-        xh = predicted + K @ residues[k]
-        estimates[k] = xh
-        x = A @ x + plant_in[k]
-    return states, estimates, outputs, residues
+    gain = real.A @ real.K
+    errors = _recursion(x0, (real.A - gain @ real.C).T, plant_in - sensor_in @ gain.T)[:-1]
+    return errors, errors @ real.C.T + sensor_in
 
 
-def _deviation(real: Realization, inputs: np.ndarray, steps: int):
-    """Noise-free run of nominal minus attacked, with the inputs zero-padded
-    or truncated to `steps`; the attack adds B u to the plant and D u to
-    the outputs."""
+def _attack_drive(real: Realization, inputs: np.ndarray, steps: int):
+    """Plant and sensor inputs of the noise-free deviation run, nominal
+    minus attacked, with the inputs zero-padded or truncated to `steps`:
+    the attack adds B u to the plant and D u to the outputs."""
     U = np.zeros((steps, real.num_inputs))
     U[:len(inputs)] = inputs[:steps]
-    return _run(real, np.zeros(real.n), -(U @ real.B.T), -(U @ real.D.T))
+    return -(U @ real.B.T), -(U @ real.D.T)
 
 
 def find_perfect_attack(real: Realization, horizon: int | None = None):
@@ -597,11 +640,11 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     output at zero forever, not just inside the window. The last right
     singular vector of that map, zero-padded to `horizon` steps (default
     twice the state dimension, the minimum accepted), is the witness.
-    `_run` replays it on the whole system over horizon plus n steps: if
-    the output deviation exceeds 1e-8, either as found or once the inputs
-    are scaled to unit peak state deviation over those steps,
-    NullspaceAmbiguityError is raised instead of a trace; otherwise the
-    AttackTrace holds those scaled inputs.
+    The plant recursion replays it on the whole system over horizon plus
+    n steps: if the output deviation exceeds 1e-8, either as found or
+    once the inputs are scaled to unit peak state deviation over those
+    steps, NullspaceAmbiguityError is raised instead of a trace;
+    otherwise the AttackTrace holds those scaled inputs.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else _check_horizon(horizon)
@@ -633,7 +676,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         _, s, vh = np.linalg.svd(M, full_matrices=wide)
         inputs[:L] = vh[-1].reshape(L, p_in)
         smallest = 0.0 if wide else float(s[-1])
-    dx, _, dy, _ = _deviation(real, inputs, N + n)
+    dx, dy = _plant(real, np.zeros(n), *_attack_drive(real, inputs, N + n))
     resid = float(np.max(np.abs(dy))) if dy.size else 0.0
     peak = float(np.max(np.abs(dx))) if dx.size else 0.0
     scale = 1.0 / peak if peak > 1e-300 else 1.0
@@ -703,9 +746,12 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     `attack` may be None, an AttackTrace, or an array of finite per-step
     inputs (zero-padded or truncated to the horizon). The nominal run draws
     process and measurement noise from Q and R; the attacked run shares
-    that noise, so the deviation run that `_run` steps for the difference
-    needs none. The filter is stable and every matrix finite, because a
-    Realization checks both when it is built.
+    that noise, so the deviation run for the difference needs none. Each
+    run steps two recursions, the plant (`_plant`) and the filter's
+    prediction error (`_prediction_errors`); outputs, residues and
+    estimates follow from them as batch products. The filter is stable
+    and every matrix finite, because a Realization checks both when it is
+    built.
     """
     horizon = _check_horizon(horizon)
     seed = _whole_number(seed, "seed")
@@ -722,13 +768,17 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     x0 = rng.standard_normal(n)
     w = _sample_noise(rng, _noise_factor(real.Q), (horizon, n))
     v = _sample_noise(rng, _noise_factor(real.R), (horizon, m))
-    states, estimates, outputs, residues = _run(real, x0, w, v)
+    states, outputs = _plant(real, x0, w, v)
+    errors, residues = _prediction_errors(real, x0, w, v)
+    estimates = states - errors + residues @ real.K.T
     if inputs is None:
         dx = np.zeros((horizon, n))
         dy = np.zeros((horizon, m))
         dz = np.zeros((horizon, m))
     else:
-        dx, _, dy, dz = _deviation(real, inputs, horizon)
+        plant_in, sensor_in = _attack_drive(real, inputs, horizon)
+        dx, dy = _plant(real, np.zeros(n), plant_in, sensor_in)
+        _, dz = _prediction_errors(real, np.zeros(n), plant_in, sensor_in)
     alarms = _quadratic_form(residues, real.residue_cov) > real.eta
     attacked_alarms = _quadratic_form(residues - dz, real.residue_cov) > real.eta
     return SimulationResult(
@@ -758,11 +808,14 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     which is `eta` when given and the realization's eta otherwise; a
     calibrated detector gives 1 - chi2_m(eta). No trajectory is kept.
 
-    The filter is stepped in prediction-error form: with e the state minus
-    its one-step prediction, the residue is z = C e + v and the next error
-    is (A - AKC) e + w - AK v, so plant and estimate need not be stored
-    apart. That error decays because a Realization refuses an unstable
-    filter when it is built; `eta` is checked as Realization checks its own.
+    The filter is stepped in prediction-error form, by the recursion
+    `simulate` uses: with e the state minus its one-step prediction, the
+    residue is z = C e + v and the next error is (A - AKC) e + w - AK v,
+    so plant and estimate need not be stored apart. Each block of 32
+    steps is one `_recursion` call over all replicas. That error decays
+    because a Realization refuses an unstable filter when it is built;
+    `eta` is checked as Realization checks its own: a real number, finite
+    and nonnegative, or ValueError.
     """
     samples = _whole_number(samples, "samples")
     burn_in = _whole_number(burn_in, "burn_in")
@@ -786,10 +839,8 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
         steps = min(_NOISE_BLOCK, total - start)
         v = _sample_noise(rng, measurement, (steps, reps, m))
         drive = _sample_noise(rng, process, (steps, reps, n)) - v @ gain.T
-        errs = np.empty((steps, reps, n))
-        for k in range(steps):
-            errs[k] = err
-            err = err @ transition_t + drive[k]
+        rows = _recursion(err, transition_t, drive)
+        errs, err = rows[:-1], rows[-1]
         # residues of this block are numbered from `first` in step-major
         # order; those numbered 0 .. samples-1 are the counted ones
         first = (start - burn_in) * reps

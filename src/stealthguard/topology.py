@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -83,9 +84,13 @@ def _check_horizon(horizon) -> int:
 
 
 def _alarm_threshold(eta) -> float:
-    """``eta`` as a float, or ValueError unless it is finite and
-    nonnegative. The CLI checks --eta with it before numpy loads, and
+    """``eta`` as a float, or ValueError unless it is a real number, finite
+    and nonnegative; a string, a list or a complex number is refused, not
+    converted. The CLI checks --eta with it before numpy loads, and
     ``Realization`` checks every threshold it is given."""
+    if not isinstance(eta, numbers.Real):
+        raise ValueError(f"alarm threshold eta must be a real number, finite and "
+                         f"nonnegative, got {eta!r}")
     eta = float(eta)
     if not 0 <= eta < math.inf:  # also false for NaN
         raise ValueError(f"alarm threshold eta must be finite and nonnegative, got {eta}")

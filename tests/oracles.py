@@ -4,8 +4,10 @@ Everything here trades speed for obvious correctness: exhaustive subset
 removal for separators, exhaustive path-family search for linkings,
 exhaustive attack-set enumeration for robustness verdicts, graphs
 built one ``Digraph.add_edge`` at a time, the attack-to-output
-transfer matrix evaluated in floating point, and the filter's Riccati
-recursion stepped one step at a time.
+transfer matrix evaluated in floating point, the filter's Riccati
+recursion stepped one step at a time, plant and filter stepped together
+one step at a time, and the normal rank from a fixed number of exact
+draws.
 """
 
 from itertools import combinations
@@ -19,6 +21,7 @@ from stealthguard import (
     StructuredSystem,
     is_structurally_left_invertible,
 )
+from stealthguard.simulation import _pencil_rank, _reachable_part
 from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id, \
     parse_agent_id, parse_observer_id
 
@@ -249,3 +252,43 @@ def plain_riccati(A, C, Q, R, steps: int):
         P = A @ (identity - K @ C) @ P @ A.T + Q
     K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
     return (identity - K @ C) @ P, K
+
+
+def stepped_run(real, x0, plant_in, sensor_in):
+    """Plant and filter stepped together for len(plant_in) steps, in the
+    textbook order: the plant is x_{k+1} = A x_k + plant_in[k] from x_0 =
+    x0 and reads y_k = C x_k + sensor_in[k]; the filter starts from a zero
+    estimate, predicts A xhat_{k-1}, takes the residue y_k - C times that
+    prediction, and sets xhat_k to the prediction plus K times the residue.
+    Returns (states, estimates, outputs, residues), one row per step."""
+    A, C, K = real.A, real.C, real.K
+    steps, n, m = len(plant_in), real.n, real.m
+    states = np.zeros((steps, n))
+    estimates = np.zeros((steps, n))
+    outputs = np.zeros((steps, m))
+    residues = np.zeros((steps, m))
+    x = x0
+    xh = np.zeros(n)
+    for k in range(steps):
+        states[k] = x
+        y = C @ x + sensor_in[k]
+        outputs[k] = y
+        predicted = A @ xh
+        residues[k] = y - C @ predicted
+        xh = predicted + K @ residues[k]
+        estimates[k] = xh
+        x = A @ x + plant_in[k]
+    return states, estimates, outputs, residues
+
+
+def seven_draw_rank(real, seed: int = 0) -> int:
+    """Normal rank as the best of up to 7 exact GF(q) pencil draws on the
+    reachable part, stopping early only at full column rank."""
+    rng = np.random.default_rng(seed)
+    A, B, C = _reachable_part(real)
+    best = 0
+    for _ in range(7):
+        best = max(best, _pencil_rank(A, B, C, real.D, rng))
+        if best == real.num_inputs:
+            break
+    return best

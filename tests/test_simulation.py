@@ -19,6 +19,7 @@ from stealthguard import (
     find_perfect_attack,
     is_structurally_left_invertible,
     load_topology,
+    max_linking,
     normal_rank,
     realize,
     simulate,
@@ -28,10 +29,10 @@ from stealthguard import (
 )
 from stealthguard import simulation
 from stealthguard.simulation import _chi_square_95th_percentile, _doublings, _is_prime, \
-    _random_prime, _rank_mod, _residues
+    _noise_factor, _quadratic_form, _random_prime, _rank_mod, _residues, _sample_noise
 
 from oracles import brute_max_linking, evaluate_transfer, plain_riccati, random_topology, \
-    reference_patterns
+    reference_patterns, seven_draw_rank, stepped_run
 
 
 def make_system(n, m, edges, sensors, agents=(), observers=()):
@@ -108,6 +109,22 @@ def test_alarm_threshold_must_be_finite_and_nonnegative():
             dataclasses.replace(real, eta=eta)
         with pytest.raises(ValueError, match="eta"):
             false_alarm_rate(real, eta=eta, samples=10)
+
+
+def test_alarm_threshold_must_be_a_real_number():
+    sys = hidden_pair()
+    real = realize(sys, seed=3)
+    for eta in ("3.84", [1.0], 1 + 0j, None):
+        message = f"eta must be a real number.*got {re.escape(repr(eta))}"
+        if eta is not None:  # realize and false_alarm_rate read None as the default
+            with pytest.raises(ValueError, match=message):
+                realize(sys, eta=eta)
+            with pytest.raises(ValueError, match=message):
+                false_alarm_rate(real, eta=eta, samples=10)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(real, eta=eta)
+    for eta in (np.float64(2.5), np.int64(3), Fraction(7, 2), True):
+        assert dataclasses.replace(real, eta=eta).eta == float(eta)
 
 
 # The 95th percentile of chi-square with m degrees of freedom, to 50 digits:
@@ -239,6 +256,69 @@ def test_normal_rank_tracks_structure():
             assert rank == sys.num_attack_inputs
         else:
             assert rank < sys.num_attack_inputs
+
+
+def random_attacked_system(rng, n_max):
+    """A random topology with 1..n_max agents and at least one sensor,
+    attacked at random agents and observers."""
+    n = int(rng.integers(1, n_max + 1))
+    t = random_topology(rng, n=n, m=int(rng.integers(1, n + 1)),
+                        edge_prob=float(rng.uniform(0.05, min(1.0, 3.0 / n))))
+    agents = {int(v) + 1 for v in rng.permutation(t.n)[:int(rng.integers(0, t.n + 1))]}
+    observers = {int(v) + 1 for v in rng.permutation(t.m)[:int(rng.integers(0, t.m + 1))]}
+    if not agents and not observers:
+        agents = {1}
+    return StructuredSystem(topology=t, scenario=AttackScenario(
+        compromised_agents=agents, compromised_observers=observers,
+        p_bound=len(agents) + len(observers)))
+
+
+def count_pencil_ranks(monkeypatch):
+    calls = []
+    pencil_rank = simulation._pencil_rank
+    monkeypatch.setattr(simulation, "_pencil_rank",
+                        lambda *args: calls.append(1) or pencil_rank(*args))
+    return calls
+
+
+def test_normal_rank_equals_the_linking_and_the_seven_draw_loop(monkeypatch):
+    # a realize-made system is generic: its rank is its linking, whether or
+    # not that falls short of the input count, and the first draw meets it
+    rng = np.random.default_rng(2024)
+    calls = count_pencil_ranks(monkeypatch)
+    deficient = 0
+    for index in range(300):
+        sys = random_attacked_system(rng, 14)
+        real = realize(sys, seed=index)
+        calls.clear()
+        rank = normal_rank(real, seed=index)
+        assert len(calls) == 1, index
+        assert rank == max_linking(sys).size == seven_draw_rank(real, seed=index), index
+        deficient += rank < sys.num_attack_inputs
+    assert 60 <= deficient <= 240
+
+
+def test_deficient_rank_is_decided_in_one_draw(monkeypatch):
+    real = realize(hidden_pair(), seed=3)
+    calls = count_pencil_ranks(monkeypatch)
+    assert normal_rank(real) == 1 < real.num_inputs
+    assert len(calls) == 1
+
+
+def test_non_generic_realization_falls_below_its_linking(monkeypatch):
+    # both sensors read x1 + x2: the linking u1-x1-y1, u2-x2-y2 has size 2,
+    # but the transfer matrix ones(2, 2) / (z - 0.5) has rank 1
+    real = Realization(
+        A=0.5 * np.eye(2), B=np.eye(2), C=np.ones((2, 2)), D=np.zeros((2, 2)),
+        Q=np.eye(2), R=np.eye(2), K=np.zeros((2, 2)), residue_cov=np.eye(2), eta=5.99)
+    assert simulation._linking_bound(real.A, real.B, real.C, real.D) == 2
+    calls = count_pencil_ranks(monkeypatch)
+    assert normal_rank(real) == 1
+    assert len(calls) == 7
+    trace = find_perfect_attack(real)
+    assert trace is not None
+    assert np.max(np.abs(trace.inputs)) > 0
+    assert np.allclose(trace.inputs[:, 0], -trace.inputs[:, 1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("q", [2**31 - 1, 1_000_000_007, 1_073_741_827])
@@ -527,20 +607,58 @@ def test_simulate_without_attack_has_zero_deviation():
     assert np.array_equal(res.alarms, res.attacked_alarms)
 
 
+def reference_simulation(real, inputs, seed, horizon):
+    """`simulate`'s nominal and deviation runs stepped by `stepped_run`,
+    under the noise `simulate` draws for the seed."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(real.n)
+    w = _sample_noise(rng, _noise_factor(real.Q), (horizon, real.n))
+    v = _sample_noise(rng, _noise_factor(real.R), (horizon, real.m))
+    nominal = stepped_run(real, x0, w, v)
+    U = np.zeros((horizon, real.num_inputs))
+    U[:len(inputs)] = inputs[:horizon]
+    deviation = stepped_run(real, np.zeros(real.n), -(U @ real.B.T), -(U @ real.D.T))
+    return nominal, deviation
+
+
+def assert_matches_reference(res, real, inputs, seed, horizon):
+    (states, estimates, outputs, residues), (dx, _, dy, dz) = \
+        reference_simulation(real, inputs, seed, horizon)
+    for got, want in ((res.states, states), (res.estimates, estimates),
+                      (res.outputs, outputs), (res.residues, residues),
+                      (res.delta_states, dx), (res.delta_outputs, dy),
+                      (res.delta_residues, dz)):
+        scale = float(np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+    for got, z in ((res.alarms, residues), (res.attacked_alarms, residues - dz)):
+        form = _quadratic_form(z, real.residue_cov)
+        clear = np.abs(form - real.eta) > 1e-9
+        assert np.array_equal(got[clear], (form > real.eta)[clear])
+
+
+@pytest.mark.parametrize("noise", [None, 0.5], ids=["R=0", "R=0.5I"])
+def test_simulate_matches_the_stepped_reference(noise):
+    rng = np.random.default_rng(77 if noise is None else 78)
+    for index in range(30):
+        sys = random_attacked_system(rng, 12)
+        real = realize(sys, seed=index, measurement_noise=noise)
+        horizon = int(rng.integers(1, 120))
+        inputs = rng.standard_normal((int(rng.integers(1, 40)), real.num_inputs))
+        res = simulate(real, attack=inputs, seed=index, horizon=horizon)
+        assert_matches_reference(res, real, inputs, index, horizon)
+
+
 def test_simulate_filter_recursion_and_first_residue():
     sys = make_system(2, 1, {(1, 1), (2, 2), (1, 2)}, {1: 2})
     real = realize(sys, seed=6)
     res = simulate(real, seed=12, horizon=30)
     # the prior estimate is zero, so the first residue is the raw output,
     # and the filter already corrects by it at step 0
-    A, C, K = real.A, real.C, real.K
     assert np.array_equal(res.residues[0], res.outputs[0])
-    assert np.array_equal(res.estimates[0], K @ res.residues[0])
+    assert np.array_equal(res.estimates[0], real.K @ res.residues[0])
     assert np.any(res.estimates[0])
-    for k in range(1, 30):
-        pred = A @ res.estimates[k - 1]
-        assert np.array_equal(res.residues[k], res.outputs[k] - C @ pred)
-        assert np.array_equal(res.estimates[k], pred + K @ res.residues[k])
+    # later steps follow the textbook recursion up to rounding
+    assert_matches_reference(res, real, np.zeros((0, real.num_inputs)), 12, 30)
 
 
 def test_simulate_rejects_bad_attack_shape():
@@ -684,6 +802,16 @@ def test_false_alarm_rate_discards_the_burn_in():
     quiet = dataclasses.replace(real, Q=np.zeros((3, 3)), R=np.zeros((2, 2)))
     assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=400) == 0.0
     assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=0) > 0.5
+
+
+@pytest.mark.parametrize("shape, kwargs, rate", [
+    ((6, 3, 2, None), {"samples": 5000, "burn_in": 100, "seed": 4}, 0.0528),
+    ((12, 4, 12, 2.0), {"samples": 3001, "burn_in": 37, "seed": 9}, 0.049983338887037654),
+    ((30, 6, 30, 0.3), {"samples": 20000, "burn_in": 200, "seed": 1, "eta": 5.0}, 0.542),
+])
+def test_false_alarm_rate_is_pinned(shape, kwargs, rate):
+    # recorded from the block loop that stepped the error recursion in place
+    assert false_alarm_rate(detector_only(*shape), **kwargs) == rate
 
 
 def test_false_alarm_rate_without_sensors_is_zero():
