@@ -14,6 +14,12 @@ indicators placed from the observer assignment and the attack set; and a
 steady-state one-step filter with gain K feeds a chi-square residue
 detector with threshold eta.
 
+The plant (A, B, C, D) alone decides whether a stealthy input exists, so
+a Realization holds the plant, the noise covariances Q and R and eta, and
+derives the detector from them: its gain K and residue covariance are
+computed on their first read, once per realization, and never by
+``realize``, ``normal_rank`` or ``find_perfect_attack``.
+
 The gain comes from the fixed point P of the filter's Riccati recursion,
 computed by structure-preserving doubling (Chu, Fan & Lin, 2005): the
 k-th doubling reaches the covariance of 2^k - 1 plain steps, so about
@@ -67,6 +73,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,15 +84,17 @@ from .topology import StructuredSystem, _alarm_threshold, _check_horizon, _whole
 # Both numeric failures are ValueErrors: they reject an input the numerics
 # cannot handle, so callers, the CLI included, treat them like bad input.
 class FilterConvergenceError(ValueError):
-    """The steady-state gain has no solution or was not found, or a
-    Realization was given a filter that is unstable (spectral radius of
-    A - KCA at least one), which its constructor refuses.
+    """A Realization's steady-state detector has no solution, was not
+    found, or is unstable; raised by the first read of its K or
+    residue_cov, which `simulate` and `false_alarm_rate` make.
 
     The gain fails when the innovation covariance CQC^T + R of the first
     step is singular ("innovation covariance is singular"), or when the
     doubling ends with a relative Riccati fixed-point residual above 1e-10
     or a non-finite iterate; that message reports the residual and the
-    number of doublings."""
+    number of doublings. A converged gain whose filter is unstable, the
+    spectral radius of A - KCA at least one, is refused with that
+    radius."""
 
 
 class NullspaceAmbiguityError(ValueError):
@@ -100,25 +109,38 @@ def spectral_radius(mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-_MATRICES = ("A", "B", "C", "D", "Q", "R", "K", "residue_cov")
+_MATRICES = ("A", "B", "C", "D", "Q", "R")
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Concrete matrices for one structured system.
+    """Concrete matrices for one structured system, and the detector they
+    imply.
 
     A: state couplings, B: attack actuation (0/1), C: sensor selection
     (0/1), D: sensor corruption (0/1), Q/R: process and measurement noise
-    covariances, K: steady-state filter gain, residue_cov: steady-state
-    covariance of the detector residue, eta: alarm threshold.
+    covariances, eta: alarm threshold. These seven are the fields;
+    `dataclasses.replace` changes any of them and runs the same checks.
 
     Construction stores a read-only float copy of each matrix, so no write
     into the given arrays, or into the stored ones, can undo its checks.
-    It checks everything the numeric functions assume, so none of them
-    checks it again: the shapes agree, every entry is finite (ValueError),
-    eta is a real number, finite and nonnegative (ValueError), and with
-    m > 0 sensors the filter is stable, the spectral radius of A - KCA
-    below one (FilterConvergenceError). `dataclasses.replace` runs the same checks.
+    It checks everything the numeric functions assume of the plant, so
+    none of them checks it again: the shapes agree, every entry is finite,
+    Q and R are symmetric and positive semidefinite, and eta is a real
+    number, finite and nonnegative (ValueError for each).
+
+    K, the steady-state filter gain, and residue_cov, the steady-state
+    covariance of the detector residue, are not fields: both are derived
+    from A, C, Q and R by `_steady_state_filter` on the first read of
+    either, kept with the instance and read-only. So they always belong to
+    this plant, and deciding an attack, which reads neither, never
+    computes them. The first read raises FilterConvergenceError when the
+    gain has no solution or was not found, or when its filter is unstable.
     """
 
     A: np.ndarray
@@ -127,35 +149,30 @@ class Realization:
     D: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    K: np.ndarray
-    residue_cov: np.ndarray
     eta: float
 
     def __post_init__(self):
         for name in _MATRICES:
-            mat = np.array(getattr(self, name), dtype=float)
-            mat.flags.writeable = False
-            object.__setattr__(self, name, mat)
-        n = self.A.shape[0]
-        m = self.C.shape[0]
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+        n, m = self.n, self.m
         if self.A.shape != (n, n):
             raise ValueError("state matrix must be square")
         if self.B.shape[0] != n or self.D.shape[0] != m:
             raise ValueError("attack matrices do not match system dimensions")
         if self.B.shape[1] != self.D.shape[1]:
             raise ValueError("actuation and corruption must share the input count")
-        if self.C.shape[1] != n or self.K.shape != (n, m):
-            raise ValueError("sensor or gain matrix has the wrong shape")
+        if self.C.shape[1] != n:
+            raise ValueError("sensor matrix has the wrong shape")
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("noise covariances have the wrong shape")
         if not all(np.all(np.isfinite(getattr(self, name))) for name in _MATRICES):
             raise ValueError("realization matrices must be finite")
+        for cov in (self.Q, self.R):
+            if not np.allclose(cov, cov.T):
+                raise ValueError("covariance must be symmetric")
+            if cov.size and np.min(np.linalg.eigvalsh(cov)) < -1e-10:
+                raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "eta", _alarm_threshold(self.eta))
-        if m:
-            rho = spectral_radius(self.A - self.K @ self.C @ self.A)
-            if rho >= 1.0:
-                raise FilterConvergenceError(
-                    f"filter is unstable: spectral radius of A - KCA is {rho:.6g} >= 1")
 
     @property
     def n(self) -> int:
@@ -169,8 +186,40 @@ class Realization:
     def num_inputs(self) -> int:
         return self.B.shape[1]
 
+    @cached_property
+    def _detector(self):
+        return _steady_state_filter(self.A, self.C, self.Q, self.R)
 
-def _as_cov(value, dim: int, default: float) -> np.ndarray:
+    K = property(lambda self: self._detector[0], doc="steady-state filter gain, n x m")
+    residue_cov = property(lambda self: self._detector[1], doc="residue covariance, m x m")
+
+    @cached_property
+    def _reachable_part(self):
+        """A, B and C restricted to the r states that the attack reaches.
+
+        The attacked states are those some column of B drives; every state
+        they feed along a nonzero entry of A (row = receiver) is reached
+        too. That set is closed under successors and the other states are
+        never driven, so they stay exactly zero for every input: the
+        restriction, in the states' original order, has the same transfer
+        matrix D + C (zI-A)^-1 B as the whole system. Found once per
+        realization, shared by the decision and the search, and read-only.
+        """
+        feeds = self.A != 0
+        reached = np.any(self.B != 0, axis=1)
+        frontier = reached
+        while frontier.any():
+            frontier = np.any(feeds[:, frontier], axis=1) & ~reached
+            reached = reached | frontier
+        states = np.flatnonzero(reached)
+        parts = self.A[np.ix_(states, states)], self.B[states], self.C[:, states]
+        return tuple(map(_read_only, parts))
+
+
+def _as_cov(value, dim: int, default: float):
+    """A noise covariance given as None (the default variance) or as a
+    scalar variance, as a matrix; any other value is passed on for the
+    Realization to check."""
     if value is None:
         return np.eye(dim) * default
     if np.isscalar(value):
@@ -178,16 +227,7 @@ def _as_cov(value, dim: int, default: float) -> np.ndarray:
         if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
             raise ValueError(f"noise variance must be finite and nonnegative, got {value!r}")
         return np.eye(dim) * float(value)
-    cov = np.array(value, dtype=float)
-    if cov.shape != (dim, dim):
-        raise ValueError(f"covariance must be {dim}x{dim}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("covariance entries must be finite")
-    if not np.allclose(cov, cov.T):
-        raise ValueError("covariance must be symmetric")
-    if cov.size and np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-        raise ValueError("covariance must be positive semidefinite")
-    return cov
+    return value
 
 
 def _doublings(A, C, Q, R):
@@ -244,7 +284,8 @@ _RESIDUAL_TOL = 1e-10
 
 
 def _steady_state_filter(A, C, Q, R):
-    """Steady-state prediction covariance P and gain; returns (K, S).
+    """Steady-state gain K and residue covariance S, read-only; a
+    Realization's first read of K or residue_cov calls it.
 
     P is the fixed point of the plain Riccati recursion S = CPC^T + R,
     P <- A (P - P C^T S^-1 C P) A^T + Q, started from P = Q. `_doublings`
@@ -256,11 +297,14 @@ def _steady_state_filter(A, C, Q, R):
     S = CPC^T + R and K = (S^-1 CP)^T. The verdict is the relative
     fixed-point residual max|step(P) - P| / max|P| of one plain step at
     P: above 1e-10, or not finite, it is a FilterConvergenceError that
-    reports the residual and the number of doublings.
+    reports the residual and the number of doublings. A converged gain is
+    refused too, with the spectral radius in the message, when its filter
+    is unstable: the spectral radius of A - KCA is at least one. Without
+    sensors K is n x 0, S is 0 x 0, and nothing is checked.
     """
     n, m = A.shape[0], C.shape[0]
     if m == 0:
-        return np.zeros((n, 0)), np.zeros((0, 0))
+        return _read_only(np.zeros((n, 0))), _read_only(np.zeros((0, 0)))
     eps = np.finfo(float).eps
     iterates = _doublings(A, C, Q, R)
     H = next(iterates)
@@ -285,7 +329,11 @@ def _steady_state_filter(A, C, Q, R):
         raise FilterConvergenceError(
             f"gain iteration did not converge: relative Riccati residual "
             f"{residual:.3g} after {doublings} doublings")
-    return gain_t.T, (S + S.T) / 2
+    rho = spectral_radius(A - gain_t.T @ C @ A)
+    if rho >= 1.0:
+        raise FilterConvergenceError(
+            f"filter is unstable: spectral radius of A - KCA is {rho:.6g} >= 1")
+    return _read_only(gain_t.T), _read_only((S + S.T) / 2)
 
 
 # ---- alarm threshold ----
@@ -341,7 +389,7 @@ def realize(sys: StructuredSystem, seed: int = 0,
             spectral_radius_target: float = 0.9,
             process_noise=None, measurement_noise=None,
             eta: float | None = None) -> Realization:
-    """Draw an admissible realization and its steady-state detector.
+    """Draw an admissible realization of a structured system.
 
     Nonzero state couplings are sampled from +-[0.1, 1] and the matrix is
     rescaled so its spectral radius hits the target (default 0.9, must be
@@ -352,14 +400,14 @@ def realize(sys: StructuredSystem, seed: int = 0,
     a scalar variance must be finite and nonnegative, one given as a
     covariance matrix finite, symmetric and positive semidefinite.
 
-    K and residue_cov come from the steady-state prediction covariance P,
-    found by doubling (`_steady_state_filter`): about ten O(n^3) steps, for
-    R zero, positive definite or singular alike, as long as CQC^T + R is
-    invertible. K = P C^T S^-1 and residue_cov = S = CPC^T + R. A singular
-    CQC^T + R, a doubling that ends with a relative Riccati residual above
-    1e-10, and a gain whose filter comes out unstable each raise
-    FilterConvergenceError. The returned Realization checks itself (see
-    there).
+    The detector is not computed here. The returned Realization checks
+    itself and derives K and residue_cov on their first read (see there):
+    K = P C^T S^-1 and residue_cov = S = CPC^T + R from the steady-state
+    prediction covariance P, found by doubling (`_steady_state_filter`)
+    in about ten O(n^3) steps, for R zero, positive definite or singular
+    alike. A singular CQC^T + R, a doubling that ends with a relative
+    Riccati residual above 1e-10, and a gain whose filter comes out
+    unstable each raise FilterConvergenceError at that read.
 
     The topology and attack set fix where the entries go: the coupling of
     each agent edge (sender a, receiver b) lies in row b, column a, and the
@@ -397,10 +445,9 @@ def realize(sys: StructuredSystem, seed: int = 0,
     B, D = BD[:n], BD[n:]
     Q = _as_cov(process_noise, n, default=1.0)
     R = _as_cov(measurement_noise, m, default=0.0)
-    K, S = _steady_state_filter(A, C, Q, R)
     if eta is None:
         eta = _chi_square_95th_percentile(m) if m else 0.0
-    return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, K=K, residue_cov=S, eta=eta)
+    return Realization(A=A, B=B, C=C, D=D, Q=Q, R=R, eta=eta)
 
 
 # ---- structural rank, numerically ----
@@ -468,26 +515,6 @@ def _rank_mod(mat: np.ndarray, q: int) -> int:
     return rank
 
 
-def _reachable_part(real: Realization):
-    """A, B and C restricted to the r states that the attack reaches.
-
-    The attacked states are those some column of B drives; every state
-    they feed along a nonzero entry of A (row = receiver) is reached too.
-    That set is closed under successors and the other states are never
-    driven, so they stay exactly zero for every input: the restriction,
-    in the states' original order, has the same transfer matrix
-    D + C (zI-A)^-1 B as the whole system.
-    """
-    feeds = real.A != 0
-    reached = np.any(real.B != 0, axis=1)
-    frontier = reached
-    while frontier.any():
-        frontier = np.any(feeds[:, frontier], axis=1) & ~reached
-        reached = reached | frontier
-    states = np.flatnonzero(reached)
-    return real.A[np.ix_(states, states)], real.B[states], real.C[:, states]
-
-
 def _pencil_rank(A, B, C, D, rng) -> int:
     """Rank of the Rosenbrock pencil [zI-A, -B; C, D] over GF(q), for a
     random prime q < 2**31 and a random z in GF(q), minus the r states of
@@ -525,26 +552,26 @@ _RANK_TRIALS = 7
 def normal_rank(real: Realization, seed: int = 0) -> int:
     """Normal rank of the attack-to-output transfer matrix, decided exactly.
 
-    Only the r states the attack reaches enter the transfer matrix, so
-    the pencil is built from that part (`_reachable_part`). Each draw
-    takes the rank of the Rosenbrock pencil over GF(q) at a random point
-    z, for a fresh random prime q < 2**31, and subtracts r. That is a
-    lower bound on the rank, so reaching the number of attack inputs ends
-    the loop and proves the map has full column rank: no stealthy input
-    exists. After the first draw that falls short, the linking bound of
-    the reachable part's nonzero pattern (`_linking_bound`) is computed
-    once; it is an upper bound, so a draw that meets it proves a
-    deficient rank too. A realization drawn by `realize` is generic
-    almost surely, and its first draw then meets the bound. Only a
-    non-generic realization, whose rank lies below its linking, returns
-    after 7 independent (z, q) draws, the largest seen. A draw falls
-    short of the true rank only when z is a root of a nonzero minor (at
-    most r of the q points; Schwartz-Zippel) or q divides all of that
-    minor's coefficients, so that last answer errs with a tiny
-    probability. No float threshold takes part.
+    Only the r states the attack reaches enter the transfer matrix, so the
+    pencil is built from that part (`Realization._reachable_part`). Each
+    draw takes the rank of the Rosenbrock pencil over GF(q) at a random
+    point z, for a fresh random prime q < 2**31, and subtracts r. That is
+    a lower bound on the rank, so reaching the number of attack inputs
+    ends the loop and proves the map has full column rank: no stealthy
+    input exists. After the first draw that falls short, the linking bound
+    of the reachable part's nonzero pattern (`_linking_bound`) is computed
+    once; it is an upper bound, so a draw that meets it proves a deficient
+    rank too. A realization drawn by `realize` is generic almost surely,
+    and its first draw then meets the bound. Only a non-generic
+    realization, whose rank lies below its linking, returns after 7
+    independent (z, q) draws, the largest seen. A draw falls short of the
+    true rank only when z is a root of a nonzero minor (at most r of the q
+    points; Schwartz-Zippel) or q divides all of that minor's
+    coefficients, so that last answer errs with a tiny probability. No
+    float threshold takes part.
     """
     rng = np.random.default_rng(_whole_number(seed, "seed"))
-    A, B, C = _reachable_part(real)
+    A, B, C = real._reachable_part
     best, linking = 0, None
     for _ in range(_RANK_TRIALS):
         best = max(best, _pencil_rank(A, B, C, real.D, rng))
@@ -629,22 +656,22 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     Whether one exists is decided exactly by `normal_rank`: full column
     rank returns None at once, with no float threshold and without
     building any map. A rank-deficient transfer matrix G has a stealthy
-    input that lasts at most r + 1 steps, r being the number of states
-    the attack reaches: a minimal polynomial basis of G's null space has
+    input that lasts at most r + 1 steps, r being the number of states the
+    attack reaches: a minimal polynomial basis of G's null space has
     degrees at most G's McMillan degree, which is at most r. So the search
-    works on that reachable part alone (`_reachable_part`). It builds the
-    lower block-triangular map from L = 2r inputs (at least 1, at most
-    `horizon`) to output deviations over L + r steps, from the Markov
-    parameters D and C A^k B; the r surplus rows carry zero input, so a
-    null vector leaves the reached states unobservable and keeps the
+    works on that reachable part alone (`Realization._reachable_part`). It
+    builds the lower block-triangular map from L = 2r inputs (at least 1,
+    at most `horizon`) to output deviations over L + r steps, from the
+    Markov parameters D and C A^k B; the r surplus rows carry zero input,
+    so a null vector leaves the reached states unobservable and keeps the
     output at zero forever, not just inside the window. The last right
     singular vector of that map, zero-padded to `horizon` steps (default
-    twice the state dimension, the minimum accepted), is the witness.
-    The plant recursion replays it on the whole system over horizon plus
-    n steps: if the output deviation exceeds 1e-8, either as found or
-    once the inputs are scaled to unit peak state deviation over those
-    steps, NullspaceAmbiguityError is raised instead of a trace;
-    otherwise the AttackTrace holds those scaled inputs.
+    twice the state dimension, the minimum accepted), is the witness. The
+    plant recursion replays it on the whole system over horizon plus n
+    steps: if the output deviation exceeds 1e-8, either as found or once
+    the inputs are scaled to unit peak state deviation over those steps,
+    NullspaceAmbiguityError is raised instead of a trace; otherwise the
+    AttackTrace holds those scaled inputs.
     """
     n, m, p_in = real.n, real.m, real.num_inputs
     N = 2 * n if horizon is None else _check_horizon(horizon)
@@ -657,7 +684,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
         inputs[0, 0] = 1.0
         smallest = 0.0
     else:
-        A, B, C = _reachable_part(real)
+        A, B, C = real._reachable_part
         r = len(A)
         L = max(2 * r, 1)
         blocks = [real.D]
@@ -749,9 +776,9 @@ def simulate(real: Realization, attack=None, seed: int = 0,
     that noise, so the deviation run for the difference needs none. Each
     run steps two recursions, the plant (`_plant`) and the filter's
     prediction error (`_prediction_errors`); outputs, residues and
-    estimates follow from them as batch products. The filter is stable
-    and every matrix finite, because a Realization checks both when it is
-    built.
+    estimates follow from them as batch products. Every matrix is finite,
+    because a Realization checks that when it is built, and the filter is
+    stable, because reading K checks that (FilterConvergenceError).
     """
     horizon = _check_horizon(horizon)
     seed = _whole_number(seed, "seed")
@@ -813,7 +840,7 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     residue is z = C e + v and the next error is (A - AKC) e + w - AK v,
     so plant and estimate need not be stored apart. Each block of 32
     steps is one `_recursion` call over all replicas. That error decays
-    because a Realization refuses an unstable filter when it is built;
+    because reading K refuses an unstable filter (FilterConvergenceError);
     `eta` is checked as Realization checks its own: a real number, finite
     and nonnegative, or ValueError.
     """

@@ -21,7 +21,7 @@ from stealthguard import (
     StructuredSystem,
     is_structurally_left_invertible,
 )
-from stealthguard.simulation import _pencil_rank, _reachable_part
+from stealthguard.simulation import _pencil_rank
 from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id, \
     parse_agent_id, parse_observer_id
 
@@ -285,7 +285,7 @@ def seven_draw_rank(real, seed: int = 0) -> int:
     """Normal rank as the best of up to 7 exact GF(q) pencil draws on the
     reachable part, stopping early only at full column rank."""
     rng = np.random.default_rng(seed)
-    A, B, C = _reachable_part(real)
+    A, B, C = real._reachable_part
     best = 0
     for _ in range(7):
         best = max(best, _pencil_rank(A, B, C, real.D, rng))

@@ -22,12 +22,14 @@ from stealthguard import (
     max_linking,
     normal_rank,
     realize,
+    save_topology,
     simulate,
     spectral_radius,
     synthesize,
     synthesize_platoon,
 )
 from stealthguard import simulation
+from stealthguard.cli import main
 from stealthguard.simulation import _chi_square_95th_percentile, _doublings, _is_prime, \
     _noise_factor, _quadratic_form, _random_prime, _rank_mod, _residues, _sample_noise
 
@@ -95,8 +97,10 @@ def test_realize_validates_arguments():
         realize(sys, spectral_radius_target=1.0)
     with pytest.raises(ValueError):
         realize(sys, spectral_radius_target=0.0)
+    # a noise-free plant has no gain; the first read of K says so
+    real = realize(sys, process_noise=0.0, measurement_noise=0.0)
     with pytest.raises(FilterConvergenceError):
-        realize(sys, process_noise=0.0, measurement_noise=0.0)
+        real.K
 
 
 def test_alarm_threshold_must_be_finite_and_nonnegative():
@@ -205,9 +209,10 @@ def test_gain_matches_a_long_plain_recursion(seed):
 def test_gain_needs_an_invertible_innovation_covariance():
     # no process noise reaches the observed agent and its sensor is exact
     sys = make_system(2, 1, {(1, 1), (2, 2), (2, 1)}, {1: 1})
+    real = realize(sys, process_noise=np.diag([0.0, 1.0]))
     with pytest.raises(FilterConvergenceError, match="innovation covariance is singular"):
-        realize(sys, process_noise=np.diag([0.0, 1.0]))
-    realize(sys, process_noise=np.diag([0.0, 1.0]), measurement_noise=0.1)
+        real.residue_cov
+    realize(sys, process_noise=np.diag([0.0, 1.0]), measurement_noise=0.1).K
 
 
 def test_unconverged_gain_reports_its_residual_and_doublings(monkeypatch):
@@ -215,8 +220,9 @@ def test_unconverged_gain_reports_its_residual_and_doublings(monkeypatch):
     sys = StructuredSystem(topology=built.topology, scenario=AttackScenario(
         compromised_agents={1, 2}, compromised_observers=set(), p_bound=2))
     monkeypatch.setattr(simulation, "_RESIDUAL_TOL", -1.0)  # no residual passes
+    real = realize(sys, seed=1)
     with pytest.raises(FilterConvergenceError, match="did not converge") as info:
-        realize(sys, seed=1)
+        real.K
     residual, doublings = re.search(r"residual (\S+) after (\d+) doublings",
                                     str(info.value)).groups()
     assert float(residual) <= 1e-12
@@ -310,7 +316,7 @@ def test_non_generic_realization_falls_below_its_linking(monkeypatch):
     # but the transfer matrix ones(2, 2) / (z - 0.5) has rank 1
     real = Realization(
         A=0.5 * np.eye(2), B=np.eye(2), C=np.ones((2, 2)), D=np.zeros((2, 2)),
-        Q=np.eye(2), R=np.eye(2), K=np.zeros((2, 2)), residue_cov=np.eye(2), eta=5.99)
+        Q=np.eye(2), R=np.eye(2), eta=5.99)
     assert simulation._linking_bound(real.A, real.B, real.C, real.D) == 2
     calls = count_pencil_ranks(monkeypatch)
     assert normal_rank(real) == 1
@@ -337,7 +343,7 @@ def test_residues_match_exact_rational_arithmetic(q):
 def test_realization_rejects_non_finite_entries():
     # every numeric function, _residues among them, relies on this check
     real = realize(hidden_pair(), seed=3)
-    for field in ("A", "B", "C", "D", "Q", "R", "K", "residue_cov"):
+    for field in ("A", "B", "C", "D", "Q", "R"):
         for bad in (np.inf, -np.inf, np.nan):
             matrix = getattr(real, field).copy()
             matrix.flat[0] = bad
@@ -398,6 +404,21 @@ def _replayed_output_deviation(real, inputs, steps):
         peak = max(peak, float(np.max(np.abs(real.C @ x + real.D @ u), initial=0.0)))
         x = real.A @ x + real.B @ u
     return peak
+
+
+def test_decision_never_computes_the_detector(monkeypatch, tmp_path):
+    def no_detector(*args):
+        raise AssertionError("the decision read the gain or the residue covariance")
+
+    monkeypatch.setattr(simulation, "_steady_state_filter", no_detector)
+    built = synthesize_platoon(400, 2, 2, observers_attackable=False)
+    scen = AttackScenario(compromised_agents={1, 2}, compromised_observers=set(), p_bound=2)
+    real = realize(StructuredSystem(topology=built.topology, scenario=scen), seed=0)
+    assert normal_rank(real) == 2
+    assert find_perfect_attack(real) is None
+    path = tmp_path / "platoon.txt"
+    save_topology(path, built.topology, 2)
+    assert main(["attack", "--topology", str(path), "--attack", "x1,x2"]) == 1
 
 
 def test_exact_rank_witness_and_structure_agree():
@@ -516,8 +537,7 @@ def test_sensor_only_attack_has_full_rank_and_no_witness():
 def test_input_that_drives_nothing_is_a_witness():
     real = Realization(
         A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]),
-        D=np.zeros((1, 1)), Q=np.eye(2), R=np.zeros((1, 1)), K=np.zeros((2, 1)),
-        residue_cov=np.eye(1), eta=3.84)
+        D=np.zeros((1, 1)), Q=np.eye(2), R=np.zeros((1, 1)), eta=3.84)
     assert normal_rank(real) == 0
     trace = find_perfect_attack(real)
     assert trace is not None and trace.horizon == 4
@@ -557,6 +577,23 @@ def test_noise_variances_must_be_finite_and_nonnegative():
             realize(sys, process_noise=np.diag([1.0, bad]))
         with pytest.raises(ValueError, match="finite"):
             realize(sys, measurement_noise=np.array([[bad]]))
+
+
+def test_realization_checks_its_covariances():
+    # dataclasses.replace runs the same checks as realize and construction
+    real = realize(hidden_pair(), seed=3)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        dataclasses.replace(real, Q=-np.eye(2))
+    with pytest.raises(ValueError, match="symmetric"):
+        dataclasses.replace(real, Q=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        dataclasses.replace(real, R=np.array([[-1e-6]]))
+    dataclasses.replace(real, Q=np.zeros((2, 2)), R=np.array([[-1e-12]]))  # within rounding
+    plant = dict(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)), eta=5.99)
+    with pytest.raises(ValueError, match="symmetric"):
+        Realization(Q=np.eye(2), R=np.array([[1.0, 1.0], [-1.0, 1.0]]), **plant)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        Realization(Q=np.array([[1.0, 2.0], [2.0, 1.0]]), R=np.eye(2), **plant)
 
 
 def test_simulate_rejects_non_finite_attack_inputs():
@@ -669,13 +706,20 @@ def test_simulate_rejects_bad_attack_shape():
         simulate(real, horizon=0)
 
 
+def unseen_unstable_mode():
+    # x1 grows by 1.5 per step, but the sensor reads only x2 and no noise
+    # drives x1: the gain converges, and A - KCA keeps the eigenvalue 1.5
+    return Realization(
+        A=np.diag([1.5, 0.5]), B=np.zeros((2, 0)), C=np.array([[0.0, 1.0]]),
+        D=np.zeros((1, 0)), Q=np.diag([0.0, 1.0]), R=np.zeros((1, 1)), eta=3.84)
+
+
 def test_simulate_rejects_unstable_filter():
-    # an unstable filter never reaches simulate: the Realization refuses it
-    with pytest.raises(FilterConvergenceError, match="unstable"):
-        Realization(
-            A=np.array([[1.5]]), B=np.zeros((1, 0)), C=np.eye(1), D=np.zeros((1, 0)),
-            Q=np.eye(1), R=np.zeros((1, 1)), K=np.zeros((1, 1)),
-            residue_cov=np.eye(1), eta=3.84)
+    # an unstable filter never steps: simulate's first read of K refuses it
+    real = unseen_unstable_mode()
+    with pytest.raises(FilterConvergenceError, match="filter is unstable: spectral radius "
+                                                     "of A - KCA is 1.5 >= 1"):
+        simulate(real, horizon=10)
 
 
 def test_perfect_attack_leaves_alarms_untouched():
@@ -730,13 +774,14 @@ def test_deviation_is_noise_independent():
 
 
 def test_noise_free_residues_decay():
+    # the deviation run is noise-free, so the residue deviation of a unit
+    # impulse dies out with the stable filter
     sys = make_system(3, 2, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)},
-                      {1: 1, 2: 3})
+                      {1: 1, 2: 3}, agents=[2])
     real = realize(sys, seed=5)
-    quiet = dataclasses.replace(real, Q=np.zeros((3, 3)), R=np.zeros((2, 2)))
-    res = simulate(quiet, seed=30, horizon=400)
-    assert np.max(np.abs(res.residues[-10:])) < 1e-10
-    assert np.max(np.abs(res.residues[0])) > 1e-3  # starts from a random state
+    res = simulate(real, attack=np.array([[1.0]]), seed=30, horizon=400)
+    assert np.max(np.abs(res.delta_residues[:10])) > 0.1  # x2 reaches x3's sensor
+    assert np.max(np.abs(res.delta_residues[-10:])) < 1e-10
 
 
 def test_residue_covariance_matches_monte_carlo():
@@ -794,14 +839,15 @@ def test_false_alarm_rate_counts_exactly_the_requested_samples():
 
 
 def test_false_alarm_rate_discards_the_burn_in():
-    # without noise the residues decay from each replica's random start,
-    # so only the early steps can exceed a tiny threshold
+    # with a tiny process noise the residue covariance is tiny too, while
+    # each replica starts from a standard-normal state: only the early
+    # residues, before that start decays, exceed a large threshold
     sys = make_system(3, 2, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)},
                       {1: 1, 2: 3})
-    real = realize(sys, seed=5)
-    quiet = dataclasses.replace(real, Q=np.zeros((3, 3)), R=np.zeros((2, 2)))
-    assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=400) == 0.0
-    assert false_alarm_rate(quiet, eta=1e-12, samples=640, burn_in=0) > 0.5
+    quiet = realize(sys, seed=5, process_noise=1e-12)
+    assert np.max(np.abs(quiet.residue_cov)) < 1e-11
+    assert false_alarm_rate(quiet, eta=1e3, samples=640, burn_in=400) == 0.0
+    assert false_alarm_rate(quiet, eta=1e3, samples=640, burn_in=0) > 0.5
 
 
 @pytest.mark.parametrize("shape, kwargs, rate", [
@@ -828,13 +874,28 @@ def test_false_alarm_rate_repeats_under_a_seed():
 
 
 def test_false_alarm_rate_rejects_unstable_filter():
-    # an unstable filter never reaches false_alarm_rate: the Realization
-    # refuses it, also when dataclasses.replace builds it
-    real = detector_only(3, 2, seed=3)
-    K = -3 * real.C.T
-    assert spectral_radius(real.A - K @ real.C @ real.A) >= 1
+    # an unstable filter never steps: false_alarm_rate's first read of K
+    # refuses it, also when dataclasses.replace builds the plant
+    real = dataclasses.replace(detector_only(2, 1, seed=3), **{
+        name: getattr(unseen_unstable_mode(), name) for name in ("A", "C", "Q", "R")})
     with pytest.raises(FilterConvergenceError, match="unstable"):
-        dataclasses.replace(real, K=K)
+        false_alarm_rate(real, samples=100)
+
+
+def test_replaced_plant_gets_its_own_detector():
+    # a detector derived from another plant would promise a 5 % false-alarm
+    # rate and deliver 24 % here
+    t = random_topology(np.random.default_rng(5), n=8, m=3)
+    sys = StructuredSystem(topology=t, scenario=AttackScenario(set(), set(), 0))
+    first, second = realize(sys, seed=1), realize(sys, seed=2)
+    mixed = dataclasses.replace(first, A=second.A)
+    assert np.array_equal(mixed.K, second.K)
+    assert np.array_equal(mixed.residue_cov, second.residue_cov)
+    noisier = dataclasses.replace(first, Q=4 * np.eye(8))
+    assert np.array_equal(noisier.K, realize(sys, seed=1, process_noise=4.0).K)
+    samples, q = 20000, float(stats.chi2.sf(mixed.eta, 3))
+    rate = false_alarm_rate(mixed, samples=samples, burn_in=200, seed=7)
+    assert abs(rate - q) <= 4 * (q * (1 - q) / samples) ** 0.5, rate
 
 
 def test_false_alarm_rate_rejects_bad_counts():
