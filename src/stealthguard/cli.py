@@ -353,6 +353,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:  # e.g. a --horizon too long to allocate
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

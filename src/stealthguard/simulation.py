@@ -46,26 +46,32 @@ largest vertex-disjoint input-to-sensor linking in the nonzero pattern
 of the reachable part is an upper bound (van der Woude, 1991), so a draw
 that meets it proves a deficient rank just as exactly; a realization
 drawn by ``realize`` is generic almost surely and meets it at the first
-draw. Only a rank-deficient realization builds the block-Toeplitz map
-from 2r input steps to the output deviations of the reachable part, with
-r extra trailing output rows (inputs off) so a null vector stays
-invisible for all time rather than for a truncated window; its SVD
-supplies the witness, which is re-verified by simulating the whole
-system.
+draw. The verdict under ``normal_rank``'s default seed is kept with the
+realization, so ``find_perfect_attack`` reads the decision that
+``normal_rank(real)`` made, or makes it once for both; another seed
+draws afresh. Only a rank-deficient realization builds the
+block-Toeplitz map from 2r input steps to the output deviations of the
+reachable part, with r extra trailing output rows (inputs off) so a
+null vector stays invisible for all time rather than for a truncated
+window; its SVD supplies the witness, which is re-verified by
+simulating the whole system.
 
 One stepper, ``_recursion``, steps every trajectory: the linear
-recursion x_{k+1} = x_k T + d_k, one row per step. A run of plant and
-filter calls it twice, once for the plant (T = A^T, drive w) and once
-for the filter's prediction error e_k = x_k - A xhat_{k-1} (T = (A -
-AKC)^T, drive w - v (AK)^T), whose estimate updates from the first
-measurement on; outputs, residues z = Ce + v and estimates xhat = x - e
-+ Kz are then batch products. ``simulate`` runs both for its noisy
-nominal run and for the deviation run (nominal minus attacked); the
-witness replay of ``find_perfect_attack`` reads only state and output
-deviations and runs the plant alone, and ``false_alarm_rate`` steps the
-error recursion for a block of replicas at a time. The deviation run is
-noise-free: by linearity the noise terms cancel exactly, so deviations
-never depend on whether noise is switched on.
+recursion x_{k+1} = x_k T + d_k, one row per step, each computed in
+place in its row of the output. A run of plant and filter calls it
+twice, once for the plant (T = A^T, drive w) and once for the filter's
+prediction error e_k = x_k - A xhat_{k-1} (T = (A - AKC)^T, drive
+w - v (AK)^T), whose estimate updates from the first measurement on;
+outputs, residues z = Ce + v and estimates xhat = x - e + Kz are then
+batch products. ``simulate`` runs both for its noisy nominal run and
+for the deviation run (nominal minus attacked); the witness replay of
+``find_perfect_attack`` reads only state and output deviations and runs
+the plant alone, and ``false_alarm_rate`` steps the error recursion for
+a block of replicas at a time. The deviation run is noise-free: by
+linearity the noise terms cancel exactly, so deviations never depend on
+whether noise is switched on. Noise with a scalar covariance c I, the
+default Q = I among them, is drawn as standard normals times sqrt(c),
+and zero noise is not drawn at all.
 """
 
 from __future__ import annotations
@@ -141,6 +147,7 @@ class Realization:
     this plant, and deciding an attack, which reads neither, never
     computes them. The first read raises FilterConvergenceError when the
     gain has no solution or was not found, or when its filter is unstable.
+    The default-seed verdict of `normal_rank` is kept the same way.
     """
 
     A: np.ndarray
@@ -168,10 +175,7 @@ class Realization:
         if not all(np.all(np.isfinite(getattr(self, name))) for name in _MATRICES):
             raise ValueError("realization matrices must be finite")
         for cov in (self.Q, self.R):
-            if not np.allclose(cov, cov.T):
-                raise ValueError("covariance must be symmetric")
-            if cov.size and np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-                raise ValueError("covariance must be positive semidefinite")
+            _check_covariance(cov)
         object.__setattr__(self, "eta", _alarm_threshold(self.eta))
 
     @property
@@ -214,6 +218,34 @@ class Realization:
         states = np.flatnonzero(reached)
         parts = self.A[np.ix_(states, states)], self.B[states], self.C[:, states]
         return tuple(map(_read_only, parts))
+
+    @cached_property
+    def _default_rank(self) -> int:
+        """`normal_rank`'s verdict under its default seed 0, decided on the
+        first read and kept, so `normal_rank(real)` and
+        `find_perfect_attack(real)` share one decision."""
+        return _drawn_rank(self, 0)
+
+
+def _diagonal_of(cov: np.ndarray):
+    """The diagonal of a square cov with no nonzero entry off it, else
+    None; two O(n^2) counts, no temporary matrix."""
+    diagonal = cov.diagonal()
+    return diagonal if np.count_nonzero(cov) == np.count_nonzero(diagonal) else None
+
+
+def _check_covariance(cov: np.ndarray) -> None:
+    """ValueError unless cov is symmetric and positive semidefinite, its
+    smallest eigenvalue at least -1e-10 (rounding). A diagonal cov is
+    checked from its diagonal, which holds its eigenvalues; any other
+    takes a dense symmetry test and `eigvalsh`."""
+    eigenvalues = _diagonal_of(cov)
+    if eigenvalues is None:
+        if not np.allclose(cov, cov.T):
+            raise ValueError("covariance must be symmetric")
+        eigenvalues = np.linalg.eigvalsh(cov)
+    if cov.size and np.min(eigenvalues) < -1e-10:
+        raise ValueError("covariance must be positive semidefinite")
 
 
 def _as_cov(value, dim: int, default: float):
@@ -569,8 +601,19 @@ def normal_rank(real: Realization, seed: int = 0) -> int:
     points; Schwartz-Zippel) or q divides all of that minor's
     coefficients, so that last answer errs with a tiny probability. No
     float threshold takes part.
+
+    The verdict under the default seed 0 is kept with the realization
+    (`Realization._default_rank`), so asking again, as
+    `find_perfect_attack` does, decides nothing anew; any other seed
+    draws afresh on every call.
     """
-    rng = np.random.default_rng(_whole_number(seed, "seed"))
+    seed = _whole_number(seed, "seed")
+    return real._default_rank if seed == 0 else _drawn_rank(real, seed)
+
+
+def _drawn_rank(real: Realization, seed: int) -> int:
+    """`normal_rank`'s draws under `seed`, decided anew."""
+    rng = np.random.default_rng(seed)
     A, B, C = real._reachable_part
     best, linking = 0, None
     for _ in range(_RANK_TRIALS):
@@ -610,12 +653,15 @@ class AttackTrace:
 def _recursion(x0, transition_t, drive) -> np.ndarray:
     """Rows x_0, ..., x_steps of x_{k+1} = x_k @ transition_t + drive[k],
     steps = len(drive). x0 is one row, or a stack of rows stepped side by
-    side; drive[k] has its shape."""
+    side; drive[k] has its shape. Each step is written in place into its
+    output row, the product first and then the drive added to it, so a
+    step allocates nothing and rounds exactly as x @ transition_t + d."""
     rows = np.empty((len(drive) + 1,) + np.shape(x0))
-    rows[0] = x = x0
-    for k, d in enumerate(drive, start=1):
-        x = x @ transition_t + d
-        rows[k] = x
+    rows[0] = x0
+    for k, d in enumerate(drive):
+        row = rows[k + 1]
+        np.matmul(rows[k], transition_t, out=row)
+        row += d
     return rows
 
 
@@ -653,9 +699,11 @@ def _attack_drive(real: Realization, inputs: np.ndarray, steps: int):
 def find_perfect_attack(real: Realization, horizon: int | None = None):
     """Search for an undetectable nonzero input sequence.
 
-    Whether one exists is decided exactly by `normal_rank`: full column
-    rank returns None at once, with no float threshold and without
-    building any map. A rank-deficient transfer matrix G has a stealthy
+    Whether one exists is decided exactly by `normal_rank`, whose
+    default-seed verdict the realization keeps, so a caller that asked
+    `normal_rank(real)` first pays for one decision: full column rank
+    returns None at once, with no float threshold and without building
+    any map. A rank-deficient transfer matrix G has a stealthy
     input that lasts at most r + 1 steps, r being the number of states the
     attack reaches: a minimal polynomial basis of G's null space has
     degrees at most G's McMillan degree, which is at most r. So the search
@@ -677,7 +725,7 @@ def find_perfect_attack(real: Realization, horizon: int | None = None):
     N = 2 * n if horizon is None else _check_horizon(horizon)
     if N < 2 * n:
         raise ValueError("horizon must be at least twice the state dimension")
-    if p_in == 0 or normal_rank(real) == p_in:
+    if p_in == 0 or real._default_rank == p_in:
         return None
     inputs = np.zeros((N, p_in))
     if m == 0:
@@ -744,19 +792,35 @@ class SimulationResult:
 
 
 def _noise_factor(cov: np.ndarray):
-    """F with F @ F.T == cov, or None when the noise is identically zero."""
+    """F with F @ F.T == cov, or None when the noise is identically zero.
+
+    A scalar covariance c I, found by an O(n^2) look at its entries, gets
+    the float standard deviation sqrt(c) instead of a matrix: `eigh` of
+    c I returns the identity and c, so the matrix it would build is
+    sqrt(c) I, and a draw times sqrt(c) is bit for bit that product.
+    Any other covariance is factored by `eigh`, U sqrt(w), with the
+    eigenvalues that rounding left below zero clipped to zero.
+    """
     if cov.shape[0] == 0 or not np.any(cov):
         return None
+    diagonal = _diagonal_of(cov)
+    if diagonal is not None and np.all(diagonal == diagonal[0]):
+        return math.sqrt(max(float(diagonal[0]), 0.0))
     w, U = np.linalg.eigh(cov)
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _sample_noise(rng, factor, shape: tuple) -> np.ndarray:
-    """Noise vectors along the last axis of `shape`; draws nothing from
-    `rng` when `factor` is None."""
+    """Noise vectors along the last axis of `shape`, standard normal draws
+    scaled in place by a float factor or multiplied by a matrix one;
+    draws nothing from `rng` when `factor` is None."""
     if factor is None:
         return np.zeros(shape)
-    return rng.standard_normal(shape) @ factor.T
+    draws = rng.standard_normal(shape)
+    if isinstance(factor, float):
+        draws *= factor
+        return draws
+    return draws @ factor.T
 
 
 def _quadratic_form(residues: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -839,7 +903,9 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     `simulate` uses: with e the state minus its one-step prediction, the
     residue is z = C e + v and the next error is (A - AKC) e + w - AK v,
     so plant and estimate need not be stored apart. Each block of 32
-    steps is one `_recursion` call over all replicas. That error decays
+    steps is one `_recursion` call over all replicas. Without measurement
+    noise (R = 0) the v terms are left out, not added as zeros; that
+    changes no value. That error decays
     because reading K refuses an unstable filter (FilterConvergenceError);
     `eta` is checked as Realization checks its own: a real number, finite
     and nonnegative, or ValueError.
@@ -864,8 +930,10 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     alarms = 0
     for start in range(0, total, _NOISE_BLOCK):
         steps = min(_NOISE_BLOCK, total - start)
-        v = _sample_noise(rng, measurement, (steps, reps, m))
-        drive = _sample_noise(rng, process, (steps, reps, n)) - v @ gain.T
+        v = None if measurement is None else _sample_noise(rng, measurement, (steps, reps, m))
+        drive = _sample_noise(rng, process, (steps, reps, n))
+        if v is not None:
+            drive -= v @ gain.T
         rows = _recursion(err, transition_t, drive)
         errs, err = rows[:-1], rows[-1]
         # residues of this block are numbered from `first` in step-major
@@ -873,7 +941,9 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
         first = (start - burn_in) * reps
         lo, hi = max(0, -first), min(steps * reps, samples - first)
         if lo < hi:
-            z = errs.reshape(-1, n)[lo:hi] @ C.T + v.reshape(-1, m)[lo:hi]
+            z = errs.reshape(-1, n)[lo:hi] @ C.T
+            if v is not None:
+                z += v.reshape(-1, m)[lo:hi]
             alarms += int(np.count_nonzero(_quadratic_form(z, real.residue_cov) > threshold))
     return alarms / samples
 

@@ -297,6 +297,18 @@ def test_simulate_horizon_must_be_positive(tmp_path, capsys):
     assert err == "error: horizon must be positive\n"
 
 
+@pytest.mark.parametrize("attack", [(), ("--attack", "x1")])
+def test_horizon_too_long_to_allocate_exits_two(tmp_path, capsys, attack):
+    # 10**15 steps of two states exceed any address space, so numpy refuses
+    # the first trajectory array at once and allocates nothing
+    top = hidden_pair_file(tmp_path)
+    code, out, err = run(capsys, "simulate", "--topology", str(top),
+                         "--horizon", str(10**15), *attack)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err
+
+
 def test_missing_topology_file(capsys):
     code, _, err = run(capsys, "certify", "--topology", "/nonexistent/top.txt")
     assert code == 2

@@ -279,12 +279,15 @@ def random_attacked_system(rng, n_max):
         p_bound=len(agents) + len(observers)))
 
 
-def count_pencil_ranks(monkeypatch):
+def count_calls(monkeypatch, owner, name):
     calls = []
-    pencil_rank = simulation._pencil_rank
-    monkeypatch.setattr(simulation, "_pencil_rank",
-                        lambda *args: calls.append(1) or pencil_rank(*args))
+    function = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or function(*args))
     return calls
+
+
+def count_pencil_ranks(monkeypatch):
+    return count_calls(monkeypatch, simulation, "_pencil_rank")
 
 
 def test_normal_rank_equals_the_linking_and_the_seven_draw_loop(monkeypatch):
@@ -309,6 +312,24 @@ def test_deficient_rank_is_decided_in_one_draw(monkeypatch):
     calls = count_pencil_ranks(monkeypatch)
     assert normal_rank(real) == 1 < real.num_inputs
     assert len(calls) == 1
+
+
+def test_default_seed_rank_is_decided_once_per_realization(monkeypatch):
+    calls = count_pencil_ranks(monkeypatch)
+    real = realize(hidden_pair(), seed=3)
+    assert normal_rank(real) == 1
+    assert find_perfect_attack(real) is not None
+    assert normal_rank(real, seed=np.int64(0)) == 1
+    assert len(calls) == 1
+    # another seed draws afresh on every call
+    assert normal_rank(real, seed=1) == normal_rank(real, seed=1) == 1
+    assert len(calls) == 3
+    # the search alone decides once too, and a replaced realization anew
+    fresh = realize(hidden_pair(), seed=4)
+    calls.clear()
+    assert find_perfect_attack(fresh) is not None and normal_rank(fresh) == 1
+    assert normal_rank(dataclasses.replace(fresh)) == 1
+    assert len(calls) == 2
 
 
 def test_non_generic_realization_falls_below_its_linking(monkeypatch):
@@ -594,6 +615,40 @@ def test_realization_checks_its_covariances():
         Realization(Q=np.eye(2), R=np.array([[1.0, 1.0], [-1.0, 1.0]]), **plant)
     with pytest.raises(ValueError, match="positive semidefinite"):
         Realization(Q=np.array([[1.0, 2.0], [2.0, 1.0]]), R=np.eye(2), **plant)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        Realization(Q=np.diag([1.0, -1e-6]), R=np.eye(2), **plant)
+
+
+def test_diagonal_covariances_are_checked_from_their_diagonal(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    real = realize(hidden_pair(), seed=3, measurement_noise=0.5)
+    dataclasses.replace(real, Q=np.diag([2.0, 0.0]), R=np.zeros((1, 1)))
+    assert calls == []
+    dataclasses.replace(real, Q=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c", [1.0, 0.25, 3.7])
+@pytest.mark.parametrize("n", [1, 4, 30])
+def test_scalar_noise_factor_equals_the_eigh_product_bit_for_bit(monkeypatch, c, n):
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    factor = _noise_factor(c * np.eye(n))
+    assert isinstance(factor, float) and calls == []
+    w, U = np.linalg.eigh(c * np.eye(n))
+    shape = (5, 3, n)
+    want = np.random.default_rng(11).standard_normal(shape) @ (U * np.sqrt(w)).T
+    got = _sample_noise(np.random.default_rng(11), factor, shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_non_scalar_noise_factor_takes_eigh(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    for cov in (np.diag([1.0, 2.0, 1.0]), np.eye(3) + 0.25 * (1 - np.eye(3))):
+        calls.clear()
+        factor = _noise_factor(cov)
+        assert isinstance(factor, np.ndarray) and len(calls) == 1
+        assert np.allclose(factor @ factor.T, cov, rtol=0, atol=1e-14)
+    assert _noise_factor(np.zeros((3, 3))) is None
 
 
 def test_simulate_rejects_non_finite_attack_inputs():
