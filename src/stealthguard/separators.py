@@ -6,16 +6,18 @@ edges get a capacity above any achievable flow, and the flow value between
 two terminals then equals the maximum number of internally vertex-disjoint
 paths. By duality that value also equals the smallest vertex separator,
 and the saturated split arcs on the source side of the final residual
-graph form a canonical minimum separator (the one nearest the source).
-Augmentation is by shortest path (breadth-first search), so results are
-deterministic for a fixed input.
+graph form a canonical minimum separator (the one nearest the source),
+read from the marks of the flow's last, failed search. Augmentation is by
+shortest path (breadth-first search), so results are deterministic for a
+fixed input.
 
 Networks are built in integer vertex numbers. Linking, left invertibility
 and certification take them straight from the topology's cached integer
 core (see :mod:`stealthguard.topology`), appending the few extra vertices a
 query needs (attack inputs, super source and sink, the sensor sink);
-``max_disjoint_paths`` maps its Digraph to integers first. Ids are looked
-up in a names table only when a result object is made.
+``max_disjoint_paths`` maps its Digraph to integers first; the numeric
+layer's linking bound builds ``max_linking``'s network from a pattern.
+Ids are looked up in a names table only when a result object is made.
 
 All functions are pure; certification builds one network per sink and
 reuses it for every agent, resetting its capacities between agents.
@@ -52,10 +54,6 @@ class SeparatorResult:
     size: int | None
     witness: frozenset | None
     disjoint_paths: tuple
-
-    @property
-    def separable(self) -> bool:
-        return self.size is not None
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ class _VertexFlowNet:
     def _augment(self) -> bool:
         """Push one unit along a shortest residual path, if there is one."""
         to, cap, adj, sink = self._to, self._cap, self._adj, self._sink
-        parent = [-1] * (2 * self._nv)
+        self._parent = parent = [-1] * (2 * self._nv)
         parent[self._source] = -2
         queue = deque([self._source])
         while queue and parent[sink] == -1:
@@ -192,6 +190,7 @@ class _VertexFlowNet:
         """
         self._cap[:] = self._init_cap
         self._source = 2 * source + 1
+        self._parent = None
         flow = 0
         while (cutoff is None or flow < cutoff) and self._augment():
             flow += 1
@@ -200,20 +199,13 @@ class _VertexFlowNet:
     def source_side_cut(self) -> list:
         """Vertices whose split arc crosses the residual source side.
 
-        Only valid after max_flow ran to exhaustion (no cutoff hit).
+        Read, ascending, from the marks of max_flow's last search, which
+        failed and so reached just that side; RuntimeError if it hit its cutoff.
         """
-        to, cap, adj = self._to, self._cap, self._adj
-        seen = [False] * (2 * self._nv)
-        seen[self._source] = True
-        queue = deque([self._source])
-        while queue:
-            u = queue.popleft()
-            for e in adj[u]:
-                v = to[e]
-                if cap[e] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return [i for i in range(self._nv) if seen[2 * i] and not seen[2 * i + 1]]
+        parent = self._parent
+        if parent is None or parent[self._sink] != -1:
+            raise RuntimeError("no source side: max_flow stopped at its cutoff")
+        return [i for i in range(self._nv) if parent[2 * i] != -1 and parent[2 * i + 1] == -1]
 
     def extract_paths(self, count) -> list:
         """Decompose the flow into `count` vertex-disjoint vertex paths."""
@@ -262,6 +254,19 @@ def max_disjoint_paths(graph: Digraph, source, sink) -> SeparatorResult:
     return SeparatorResult(size=value, witness=witness, disjoint_paths=paths)
 
 
+def _linking_flow(state_succ, m: int, input_succ):
+    """(network, value) of a maximum fully vertex-disjoint linking: r states
+    with successors ``state_succ`` among the states and the m sensors
+    r..r+m-1, which feed the sink, then inputs with successors
+    ``input_succ``, which a source feeds; source and sink come last."""
+    r, p_in = len(state_succ), len(input_succ)
+    source, sink = r + m + p_in, r + m + p_in + 1
+    succ = (list(state_succ) + [(sink,)] * m + list(input_succ)
+            + [tuple(range(r + m, r + m + p_in)), ()])
+    net = _VertexFlowNet(succ, sink)
+    return net, net.max_flow(source)
+
+
 def max_linking(sys: StructuredSystem) -> LinkingResult:
     """Largest family of fully vertex-disjoint paths from the attack inputs
     to the observers in the attack-augmented graph.
@@ -274,13 +279,7 @@ def max_linking(sys: StructuredSystem) -> LinkingResult:
         return LinkingResult(size=0, paths=())
     core = sys.topology._core
     names, succ = core.attack_lists(sys.scenario)
-    # a super source _S feeds every input, every observer feeds a super sink _T
-    n, m = core.n, core.m
-    source, sink = n + m + p_in, n + m + p_in + 1
-    succ = (succ[:n] + ((sink,),) * m + succ[n + m:]
-            + (tuple(range(n + m, n + m + p_in)), ()))
-    net = _VertexFlowNet(succ, sink)
-    value = net.max_flow(source)
+    net, value = _linking_flow(succ[:core.n], core.m, succ[core.n + core.m:])
     paths = tuple(tuple(names[v] for v in p[1:-1]) for p in net.extract_paths(value))
     return LinkingResult(size=value, paths=paths)
 

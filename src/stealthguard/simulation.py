@@ -15,9 +15,10 @@ steady-state one-step filter with gain K feeds a chi-square residue
 detector with threshold eta.
 
 The plant (A, B, C, D) alone decides whether a stealthy input exists, so
-a Realization holds the plant, the noise covariances Q and R and eta, and
-derives the detector from them: its gain K and residue covariance are
-computed on their first read, once per realization, and never by
+a Realization holds the plant, the noise covariances Q and R and eta,
+and derives the detector from them: its gain K, its residue covariance S
+and the AK, (A - AKC)^T and S^-1 that filter and detector step with are
+computed together on the first read, once per realization, and never by
 ``realize``, ``normal_rank`` or ``find_perfect_attack``.
 
 The gain comes from the fixed point P of the filter's Riccati recursion,
@@ -43,7 +44,8 @@ reachable part reduces exactly modulo a prime q, and its rank over GF(q)
 at a random z is a lower bound on the rank. Full rank therefore proves
 that no stealthy input exists, with no float threshold involved. The
 largest vertex-disjoint input-to-sensor linking in the nonzero pattern
-of the reachable part is an upper bound (van der Woude, 1991), so a draw
+of the reachable part, found on the flow network of ``max_linking``, is
+an upper bound (van der Woude, 1991), so a draw
 that meets it proves a deficient rank just as exactly; a realization
 drawn by ``realize`` is generic almost surely and meets it at the first
 draw. The verdict under ``normal_rank``'s default seed is kept with the
@@ -83,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .separators import _VertexFlowNet
+from .separators import _linking_flow
 from .topology import StructuredSystem, _alarm_threshold, _check_horizon, _whole_number
 
 
@@ -143,10 +145,12 @@ class Realization:
     K, the steady-state filter gain, and residue_cov, the steady-state
     covariance of the detector residue, are not fields: both are derived
     from A, C, Q and R by `_steady_state_filter` on the first read of
-    either, kept with the instance and read-only. So they always belong to
-    this plant, and deciding an attack, which reads neither, never
-    computes them. The first read raises FilterConvergenceError when the
-    gain has no solution or was not found, or when its filter is unstable.
+    either, kept with the instance and read-only, together with the AK,
+    (A - AKC)^T and inverse of residue_cov that the filter recursion and
+    the alarm test read. So they always belong to this plant, and deciding
+    an attack, which reads none of them, never computes them. The first
+    read raises FilterConvergenceError when the gain has no solution or
+    was not found, or when its filter is unstable.
     The default-seed verdict of `normal_rank` is kept the same way.
     """
 
@@ -192,7 +196,10 @@ class Realization:
 
     @cached_property
     def _detector(self):
-        return _steady_state_filter(self.A, self.C, self.Q, self.R)
+        """(K, S, S^-1, AK, (A - AKC)^T), derived together on the first read."""
+        K, S, S_inv = _steady_state_filter(self.A, self.C, self.Q, self.R)
+        gain = self.A @ K
+        return K, S, S_inv, _read_only(gain), _read_only((self.A - gain @ self.C).T)
 
     K = property(lambda self: self._detector[0], doc="steady-state filter gain, n x m")
     residue_cov = property(lambda self: self._detector[1], doc="residue covariance, m x m")
@@ -316,7 +323,7 @@ _RESIDUAL_TOL = 1e-10
 
 
 def _steady_state_filter(A, C, Q, R):
-    """Steady-state gain K and residue covariance S, read-only; a
+    """Steady-state gain K, residue covariance S and S^-1, read-only; a
     Realization's first read of K or residue_cov calls it.
 
     P is the fixed point of the plain Riccati recursion S = CPC^T + R,
@@ -332,11 +339,11 @@ def _steady_state_filter(A, C, Q, R):
     reports the residual and the number of doublings. A converged gain is
     refused too, with the spectral radius in the message, when its filter
     is unstable: the spectral radius of A - KCA is at least one. Without
-    sensors K is n x 0, S is 0 x 0, and nothing is checked.
+    sensors K is n x 0, S and S^-1 are 0 x 0, and nothing is checked.
     """
     n, m = A.shape[0], C.shape[0]
     if m == 0:
-        return _read_only(np.zeros((n, 0))), _read_only(np.zeros((0, 0)))
+        return tuple(map(_read_only, (np.zeros((n, 0)), np.zeros((0, 0)), np.zeros((0, 0)))))
     eps = np.finfo(float).eps
     iterates = _doublings(A, C, Q, R)
     H = next(iterates)
@@ -365,7 +372,8 @@ def _steady_state_filter(A, C, Q, R):
     if rho >= 1.0:
         raise FilterConvergenceError(
             f"filter is unstable: spectral radius of A - KCA is {rho:.6g} >= 1")
-    return _read_only(gain_t.T), _read_only((S + S.T) / 2)
+    S = (S + S.T) / 2
+    return _read_only(gain_t.T), _read_only(S), _read_only(np.linalg.inv(S))
 
 
 # ---- alarm threshold ----
@@ -467,11 +475,8 @@ def realize(sys: StructuredSystem, seed: int = 0,
     C = np.zeros((m, n))
     C[[k - 1 for k in top.observer_assignment],
       [j - 1 for j in top.observer_assignment.values()]] = 1.0
-    # input t drives the t-th target, agents ascending, then observers
-    # ascending: a row of the stacked [B; D] below n is an agent's, one from n on
-    # a sensor's
-    targets = ([i - 1 for i in sorted(scenario.compromised_agents)]
-               + [n + k - 1 for k in sorted(scenario.compromised_observers)])
+    # input t drives row targets[t] of [B; D], an agent's below n, a sensor's from n on
+    targets = scenario._target_vertices(n)
     BD = np.zeros((n + m, len(targets)))
     BD[targets, np.arange(len(targets))] = 1.0
     B, D = BD[:n], BD[n:]
@@ -566,14 +571,11 @@ def _linking_bound(A, B, C, D) -> int:
     states and sensors its column of [B; D] touches, a state those its
     column of [A; C] touches. By van der Woude (1991) that is the generic
     rank of the transfer matrix over every realization of the pattern, so
-    no realization's normal rank exceeds it."""
-    r, m, p_in = len(A), len(C), B.shape[1]
-    source, sink = r + m + p_in, r + m + p_in + 1
-    succ = ([np.flatnonzero(col).tolist() for col in np.vstack([A, C]).T]
-            + [[sink]] * m
-            + [np.flatnonzero(col).tolist() for col in np.vstack([B, D]).T]
-            + [list(range(r + m, r + m + p_in)), []])
-    return _VertexFlowNet(succ, sink).max_flow(source)
+    no realization's normal rank exceeds it. The network is `max_linking`'s,
+    with the column supports of the pattern as successor lists."""
+    state_succ, input_succ = ([np.flatnonzero(col).tolist() for col in np.vstack(pair).T]
+                              for pair in ((A, C), (B, D)))
+    return _linking_flow(state_succ, len(C), input_succ)[1]
 
 
 # Independent (z, q) draws before normal_rank reports a rank below its
@@ -682,8 +684,8 @@ def _prediction_errors(real: Realization, x0, plant_in, sensor_in):
     z_k = C e_k + sensor_in[k]; the estimate is xhat_k = x_k - e_k + K z_k.
     Returns (errors, residues), one row per step.
     """
-    gain = real.A @ real.K
-    errors = _recursion(x0, (real.A - gain @ real.C).T, plant_in - sensor_in @ gain.T)[:-1]
+    gain, transition_t = real._detector[3:]
+    errors = _recursion(x0, transition_t, plant_in - sensor_in @ gain.T)[:-1]
     return errors, errors @ real.C.T + sensor_in
 
 
@@ -823,11 +825,9 @@ def _sample_noise(rng, factor, shape: tuple) -> np.ndarray:
     return draws @ factor.T
 
 
-def _quadratic_form(residues: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    if cov.shape[0] == 0:
-        return np.zeros(len(residues))
-    inv = np.linalg.inv(cov)
-    return np.einsum("ki,ij,kj->k", residues, inv, residues)
+def _quadratic_form(real: Realization, residues: np.ndarray) -> np.ndarray:
+    """z^T S^-1 z for each row z, with the S^-1 the detector holds."""
+    return np.einsum("ki,ij,kj->k", residues, real._detector[2], residues)
 
 
 def simulate(real: Realization, attack=None, seed: int = 0,
@@ -870,8 +870,8 @@ def simulate(real: Realization, attack=None, seed: int = 0,
         plant_in, sensor_in = _attack_drive(real, inputs, horizon)
         dx, dy = _plant(real, np.zeros(n), plant_in, sensor_in)
         _, dz = _prediction_errors(real, np.zeros(n), plant_in, sensor_in)
-    alarms = _quadratic_form(residues, real.residue_cov) > real.eta
-    attacked_alarms = _quadratic_form(residues - dz, real.residue_cov) > real.eta
+    alarms = _quadratic_form(real, residues) > real.eta
+    attacked_alarms = _quadratic_form(real, residues - dz) > real.eta
     return SimulationResult(
         states=states, estimates=estimates, outputs=outputs, residues=residues,
         alarms=alarms, delta_states=dx, delta_outputs=dy, delta_residues=dz,
@@ -916,14 +916,12 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
     if samples < 1 or burn_in < 0:
         raise ValueError("need samples >= 1 and burn_in >= 0")
     threshold = real.eta if eta is None else _alarm_threshold(eta)
-    A, C, K = real.A, real.C, real.K
+    gain, transition_t = real._detector[3:]
     n, m = real.n, real.m
     if m == 0:
         return 0.0
     reps = min(_REPLICAS, samples)
     total = burn_in + -(-samples // reps)
-    gain = A @ K
-    transition_t = (A - gain @ C).T
     process, measurement = _noise_factor(real.Q), _noise_factor(real.R)
     rng = np.random.default_rng(seed)
     err = rng.standard_normal((reps, n))
@@ -941,10 +939,10 @@ def false_alarm_rate(real: Realization, eta: float | None = None,
         first = (start - burn_in) * reps
         lo, hi = max(0, -first), min(steps * reps, samples - first)
         if lo < hi:
-            z = errs.reshape(-1, n)[lo:hi] @ C.T
+            z = errs.reshape(-1, n)[lo:hi] @ real.C.T
             if v is not None:
                 z += v.reshape(-1, m)[lo:hi]
-            alarms += int(np.count_nonzero(_quadratic_form(z, real.residue_cov) > threshold))
+            alarms += int(np.count_nonzero(_quadratic_form(real, z) > threshold))
     return alarms / samples
 
 

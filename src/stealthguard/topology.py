@@ -206,9 +206,7 @@ class _GraphCore:
         """(names, succ) of the communication graph plus one input vertex
         per attacked node: input t is vertex n+m+t-1, named ``u<t>``, and
         feeds the t-th of ``scenario.target_ids()``."""
-        n = self.n
-        targets = ([i - 1 for i in sorted(scenario.compromised_agents)]
-                   + [n + k - 1 for k in sorted(scenario.compromised_observers)])
+        targets = scenario._target_vertices(self.n)
         names = self.names + tuple(attack_input_id(t) for t in range(1, len(targets) + 1))
         return names, self.succ + tuple((v,) for v in targets)
 
@@ -306,6 +304,11 @@ class AttackScenario:
     @property
     def num_inputs(self) -> int:
         return len(self.compromised_agents) + len(self.compromised_observers)
+
+    def _target_vertices(self, n: int) -> list:
+        """Each input's target vertex, given n agents: xi is i-1, yk n+k-1."""
+        return ([i - 1 for i in sorted(self.compromised_agents)]
+                + [n + k - 1 for k in sorted(self.compromised_observers)])
 
     def target_ids(self) -> list:
         """Attacked node ids in attack-input order."""

@@ -26,14 +26,15 @@ from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, obse
     parse_agent_id, parse_observer_id
 
 
-def reachable(graph, start):
-    """Set of nodes reachable from start, start included."""
+def reachable(graph, start, blocked=frozenset()):
+    """Set of nodes reachable from start without entering blocked, start
+    included."""
     seen = {start}
     frontier = [start]
     while frontier:
         node = frontier.pop()
         for succ in graph.successors(node):
-            if succ not in seen:
+            if succ not in seen and succ not in blocked:
                 seen.add(succ)
                 frontier.append(succ)
     return seen
@@ -67,6 +68,21 @@ def brute_min_separator(graph, source, sink):
             if separates(graph, source, sink, set(subset)):
                 return size
     raise AssertionError("removing every internal vertex must separate a nonadjacent pair")
+
+
+def closest_min_separator(graph, source, sink):
+    """The minimum separator of a nonadjacent pair closest to the source:
+    of all separators of the smallest size, the one that leaves the fewest
+    vertices reachable from the source. Checked to be unique."""
+    size = brute_min_separator(graph, source, sink)
+    internal = [v for v in graph.nodes() if v != source and v != sink]
+    by_reach = {}
+    for subset in combinations(internal, size):
+        if separates(graph, source, sink, set(subset)):
+            reach = len(reachable(graph, source, set(subset)))
+            by_reach.setdefault(reach, []).append(frozenset(subset))
+    (closest,) = by_reach[min(by_reach)]
+    return closest
 
 
 def simple_paths_to(graph, source, sinks):

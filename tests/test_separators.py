@@ -20,12 +20,14 @@ from stealthguard import (
     synthesize_platoon,
     topology_graph,
 )
+from stealthguard.separators import _VertexFlowNet
 from stealthguard.topology import OBSERVER_SINK
 
 from oracles import (
     brute_max_linking,
     brute_min_separator,
     brute_robust,
+    closest_min_separator,
     enumerate_attacks,
     random_digraph,
     random_topology,
@@ -60,7 +62,7 @@ def test_adjacent_endpoints_have_no_separator():
     g = chain("a", "b")
     res = max_disjoint_paths(g, "a", "b")
     assert res.size is None and res.witness is None
-    assert not res.separable
+    assert res.size is None
     assert res.disjoint_paths == ()
 
 
@@ -333,6 +335,48 @@ def test_certify_witness_is_sound():
             g = build_separator_graph(t, collapse_observers=not flag)
             assert separates(g, ce.agent, OBSERVER_SINK, set(ce.separator))
     assert found >= 20
+
+
+def test_witness_is_the_minimum_separator_closest_to_the_source():
+    rng = np.random.default_rng(311)
+    checked = 0
+    while checked < 300:
+        g = random_digraph(rng)
+        source, sink = g.nodes()[0], g.nodes()[-1]
+        if g.has_edge(source, sink):
+            continue
+        assert max_disjoint_paths(g, source, sink).witness == \
+            closest_min_separator(g, source, sink), checked
+        checked += 1
+
+
+def test_counterexample_separator_is_the_closest_minimum_separator():
+    rng = np.random.default_rng(313)
+    found = {True: 0, False: 0}
+    for _ in range(200):
+        t = random_topology(rng, n_max=6, edge_prob=0.35)
+        p = int(rng.integers(1, 4))
+        for flag in (True, False):
+            if flag and t.m < p:
+                continue
+            ce = certify_robustness(t, p, observers_attackable=flag).counterexample
+            if ce is None:
+                continue
+            g = build_separator_graph(t, collapse_observers=not flag)
+            assert ce.separator == closest_min_separator(g, ce.agent, OBSERVER_SINK)
+            found[flag] += 1
+    assert min(found.values()) >= 40, found
+
+
+def test_source_side_cut_needs_a_flow_that_ran_to_exhaustion():
+    # two disjoint paths, 0-1-3 and 0-2-3
+    net = _VertexFlowNet([[1, 2], [3], [3], []], 3)
+    for cutoff in (0, 1):
+        assert net.max_flow(0, cutoff=cutoff) == cutoff
+        with pytest.raises(RuntimeError, match="cutoff"):
+            net.source_side_cut()
+    assert net.max_flow(0, cutoff=3) == 2
+    assert net.source_side_cut() == [1, 2]
 
 
 def test_certify_monotone_under_edge_addition():

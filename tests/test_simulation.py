@@ -307,6 +307,20 @@ def test_normal_rank_equals_the_linking_and_the_seven_draw_loop(monkeypatch):
     assert 60 <= deficient <= 240
 
 
+def test_linking_bound_equals_max_linking():
+    # normal_rank computes the bound only after a draw falls short, so its
+    # own tests never reach the bound of a full-rank system
+    rng = np.random.default_rng(2025)
+    full = 0
+    for index in range(300):
+        sys = random_attacked_system(rng, 14)
+        real = realize(sys, seed=index)
+        linking = max_linking(sys).size
+        assert simulation._linking_bound(*real._reachable_part, real.D) == linking, index
+        full += linking == sys.num_attack_inputs
+    assert 60 <= full <= 240
+
+
 def test_deficient_rank_is_decided_in_one_draw(monkeypatch):
     real = realize(hidden_pair(), seed=3)
     calls = count_pencil_ranks(monkeypatch)
@@ -723,7 +737,7 @@ def assert_matches_reference(res, real, inputs, seed, horizon):
         scale = float(np.max(np.abs(want), initial=0.0))
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
     for got, z in ((res.alarms, residues), (res.attacked_alarms, residues - dz)):
-        form = _quadratic_form(z, real.residue_cov)
+        form = _quadratic_form(real, z)
         clear = np.abs(form - real.eta) > 1e-9
         assert np.array_equal(got[clear], (form > real.eta)[clear])
 
@@ -951,6 +965,16 @@ def test_replaced_plant_gets_its_own_detector():
     samples, q = 20000, float(stats.chi2.sf(mixed.eta, 3))
     rate = false_alarm_rate(mixed, samples=samples, burn_in=200, seed=7)
     assert abs(rate - q) <= 4 * (q * (1 - q) / samples) ** 0.5, rate
+
+
+def test_detector_is_derived_once(monkeypatch):
+    real = realize(hidden_pair(), seed=3, measurement_noise=0.5)
+    trace = find_perfect_attack(real)
+    real.K
+    calls = count_calls(monkeypatch, np.linalg, "inv")
+    simulate(real, attack=trace)
+    false_alarm_rate(real, samples=5000)
+    assert calls == []
 
 
 def test_false_alarm_rate_rejects_bad_counts():
