@@ -15,37 +15,41 @@ round-robin, and the result is re-certified before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .separators import InfeasibilityError, certify_robustness
-from .topology import DcsTopology, _whole_number
+from .topology import DcsTopology, _Record, _set, _whole_number
 
 
-@dataclass(frozen=True)
-class SynthesisSpec:
-    """Design request: n agents, m sensors, attack budget p, attack class."""
+class SynthesisSpec(_Record):
+    """Design request: n agents, m sensors, attack budget p, attack class.
+    The sizes must be integers with 0 <= p <= n, 0 <= m <= n and n >= 1."""
 
-    n: int
-    m: int
-    p: int
-    observers_attackable: bool = True
+    __match_args__ = ("n", "m", "p", "observers_attackable")
 
-    def __post_init__(self):
-        for name in ("n", "m", "p"):
-            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
-        if self.n < 1:
+    def __init__(self, n: int, m: int, p: int, observers_attackable: bool = True):
+        n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
+        if n < 1:
             raise ValueError("need at least one agent")
-        if self.p < 0 or self.p > self.n:
-            raise ValueError(f"attack budget must satisfy 0 <= p <= n, got p={self.p}")
-        if not (0 <= self.m <= self.n):
-            raise ValueError(f"need 0 <= m <= n, got m={self.m}")
+        if p < 0 or p > n:
+            raise ValueError(f"attack budget must satisfy 0 <= p <= n, got p={p}")
+        if not (0 <= m <= n):
+            raise ValueError(f"need 0 <= m <= n, got m={m}")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "p", p)
+        _set(self, "observers_attackable", observers_attackable)
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    topology: DcsTopology
-    link_count: int
-    certified: bool
+class SynthesisResult(_Record):
+    """A synthesized topology, its link count and its certification
+    verdict. The topology holds a dict, so the result is unhashable."""
+
+    __match_args__ = ("topology", "link_count", "certified")
+
+    def __init__(self, topology: DcsTopology, link_count: int, certified: bool):
+        _set(self, "topology", topology)
+        _set(self, "link_count", link_count)
+        _set(self, "certified", certified)
 
 
 def min_links_value(n: int, m: int, p: int, observers_attackable: bool = True) -> int:

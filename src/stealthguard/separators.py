@@ -26,16 +26,15 @@ reuses it for every agent, resetting its capacities between agents.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .topology import (
     AttackScenario,
     DcsTopology,
     Digraph,
     StructuredSystem,
+    _Record,
+    _set,
     _whole_number,
-    agent_id,
-    observer_id,
 )
 
 
@@ -43,52 +42,63 @@ class InfeasibilityError(ValueError):
     """No topology can meet the requested robustness level."""
 
 
-@dataclass(frozen=True)
-class SeparatorResult:
+class SeparatorResult(_Record):
     """Outcome of a disjoint-path / separator query.
 
     ``size`` is None exactly when no finite separator exists (the endpoints
     are adjacent); otherwise size == len(witness) == len(disjoint_paths).
     """
 
-    size: int | None
-    witness: frozenset | None
-    disjoint_paths: tuple
+    __match_args__ = ("size", "witness", "disjoint_paths")
+
+    def __init__(self, size: int | None, witness: frozenset | None, disjoint_paths: tuple):
+        _set(self, "size", size)
+        _set(self, "witness", witness)
+        _set(self, "disjoint_paths", disjoint_paths)
 
 
-@dataclass(frozen=True)
-class LinkingResult:
+class LinkingResult(_Record):
     """Maximum family of fully vertex-disjoint attack-to-sensor paths."""
 
-    size: int
-    paths: tuple
+    __match_args__ = ("size", "paths")
+
+    def __init__(self, size: int, paths: tuple):
+        _set(self, "size", size)
+        _set(self, "paths", paths)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """A deficient separator converted into a concrete attack set."""
 
-    agent: str
-    separator: frozenset
-    attack: AttackScenario
+    __match_args__ = ("agent", "separator", "attack")
+
+    def __init__(self, agent: str, separator: frozenset, attack: AttackScenario):
+        _set(self, "agent", agent)
+        _set(self, "separator", separator)
+        _set(self, "attack", attack)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(_Record):
     """Verdict of :func:`certify_robustness`.
 
     ``per_agent_min_separator`` records, for every certified agent in
     ascending order, the smallest separator cutting it off from the sensor
     sink, saturated at ``p`` (the search stops augmenting once the budget
     is matched, so a recorded value of p means "at least p"). The verdict
-    is robust exactly when every recorded value is >= p.
+    is robust exactly when every recorded value is >= p. The report holds
+    that dict, so it is unhashable.
     """
 
-    robust: bool
-    observers_attackable: bool
-    p: int
-    per_agent_min_separator: dict
-    counterexample: Counterexample | None
+    __match_args__ = ("robust", "observers_attackable", "p", "per_agent_min_separator",
+                      "counterexample")
+
+    def __init__(self, robust: bool, observers_attackable: bool, p: int,
+                 per_agent_min_separator: dict, counterexample: Counterexample | None):
+        _set(self, "robust", robust)
+        _set(self, "observers_attackable", observers_attackable)
+        _set(self, "p", p)
+        _set(self, "per_agent_min_separator", per_agent_min_separator)
+        _set(self, "counterexample", counterexample)
 
     def to_dict(self) -> dict:
         doc = {
@@ -100,12 +110,14 @@ class RobustnessReport:
         }
         if self.counterexample is not None:
             ce = self.counterexample
+            targets = ce.attack.target_ids()
+            split = len(ce.attack.compromised_agents)
             doc["counterexample"] = {
                 "agent": ce.agent,
                 # the attack is the agent plus its separator, in target order
-                "separator": [v for v in ce.attack.target_ids() if v != ce.agent],
-                "attack_agents": [agent_id(i) for i in sorted(ce.attack.compromised_agents)],
-                "attack_observers": [observer_id(k) for k in sorted(ce.attack.compromised_observers)],
+                "separator": [v for v in targets if v != ce.agent],
+                "attack_agents": targets[:split],
+                "attack_observers": targets[split:],
             }
         return doc
 

@@ -13,7 +13,7 @@ All containers here are immutable or treated as read-only once built, so
 values can be shared freely across threads.
 
 Every graph derived from a topology comes from one integer core, built the
-first time it is needed and cached on the frozen ``DcsTopology``: vertex
+first time it is needed and cached on the immutable ``DcsTopology``: vertex
 v < n is agent x(v+1), vertex n+k-1 is observer yk, and each vertex keeps
 its successors in a tuple. ``topology_graph`` and ``build_separator_graph``
 fill their Digraphs from it, and the flow networks of
@@ -32,6 +32,12 @@ the attack set.
 Reading a topology file goes the other way: ``parse_topology`` turns each
 distinct id string into its index once per call, and nothing downstream
 reads an index back out of a string.
+
+The graph layer's records (``DcsTopology``, ``AttackScenario``,
+``StructuredSystem`` here, and the result and spec records of
+:mod:`stealthguard.separators` and :mod:`stealthguard.design`) are plain
+immutable classes on ``_Record``, not dataclasses, so a graph-only program
+never imports ``dataclasses`` and ``inspect``.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 OBSERVER_SINK = "o"
+
+_set = object.__setattr__  # sets a record's field past its refusing __setattr__
 
 _AGENT_ID = re.compile(r"x([1-9][0-9]*)")
 _OBSERVER_ID = re.compile(r"y([1-9][0-9]*)")
@@ -211,48 +218,86 @@ class _GraphCore:
         return names, self.succ + tuple((v,) for v in targets)
 
 
-@dataclass(frozen=True)
-class DcsTopology:
+class _Record:
+    """Base of the graph layer's immutable records.
+
+    A record names its fields, in order, in ``__match_args__``, and its
+    ``__init__`` sets each one once with ``object.__setattr__``. Records of
+    the same class are equal when their fields are; the hash is that of the
+    field tuple, so a record that holds a dict is unhashable. ``repr`` reads
+    ``Name(field=value, ...)``, and assigning or deleting an attribute
+    raises AttributeError. Pickle and copy restore an instance's
+    ``__dict__`` without calling ``__init__``.
+    """
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # every record has two or more fields, so this returns a tuple
+        cls._values = operator.attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DcsTopology(_Record):
     """Communication topology: n agents, m dedicated observers, agent edges.
 
     ``agent_edges`` holds (sender, receiver) index pairs, 1-based, and must
     contain (i, i) for every agent. ``observer_assignment`` maps observer
     index k to the agent it reads; it must cover 1..m and be injective.
+    Construction keeps a frozenset of int pairs and a dict of ints, and
+    refuses anything else with a ValueError.
     """
 
-    n: int
-    m: int
-    agent_edges: frozenset
-    observer_assignment: dict
+    __match_args__ = ("n", "m", "agent_edges", "observer_assignment")
 
-    def __post_init__(self):
+    def __init__(self, n: int, m: int, agent_edges, observer_assignment: dict):
+        n = _whole_number(n, "agent count n")
+        m = _whole_number(m, "observer count m")
         index = operator.index
-        object.__setattr__(self, "n", _whole_number(self.n, "agent count n"))
-        object.__setattr__(self, "m", _whole_number(self.m, "observer count m"))
         try:
-            object.__setattr__(self, "agent_edges",
-                               frozenset((index(a), index(b)) for a, b in self.agent_edges))
-            object.__setattr__(self, "observer_assignment",
-                               {index(k): index(v)
-                                for k, v in dict(self.observer_assignment).items()})
+            agent_edges = frozenset((index(a), index(b)) for a, b in agent_edges)
+            observer_assignment = {index(k): index(v)
+                                   for k, v in dict(observer_assignment).items()}
         except TypeError:
             raise ValueError("every edge endpoint and observer index must be an integer") from None
-        if self.n < 0 or self.m < 0 or self.m > self.n:
-            raise ValueError(f"need 0 <= m <= n, got n={self.n} m={self.m}")
-        for (a, b) in self.agent_edges:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a}, {b}) out of range for n={self.n}")
-        for i in range(1, self.n + 1):
-            if (i, i) not in self.agent_edges:
+        if n < 0 or m < 0 or m > n:
+            raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+        for (a, b) in agent_edges:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+        for i in range(1, n + 1):
+            if (i, i) not in agent_edges:
                 raise ValueError(f"agent x{i} is missing its self-loop")
-        if set(self.observer_assignment) != set(range(1, self.m + 1)):
+        if set(observer_assignment) != set(range(1, m + 1)):
             raise ValueError("observer assignment must cover exactly y1..ym")
-        targets = list(self.observer_assignment.values())
+        targets = list(observer_assignment.values())
         for j in targets:
-            if not (1 <= j <= self.n):
+            if not (1 <= j <= n):
                 raise ValueError(f"observer target x{j} out of range")
         if len(set(targets)) != len(targets):
             raise ValueError("observers must be dedicated: one agent per sensor")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "agent_edges", agent_edges)
+        _set(self, "observer_assignment", observer_assignment)
 
     @property
     def link_count(self) -> int:
@@ -272,66 +317,69 @@ class DcsTopology:
         return _GraphCore(self)
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(_Record):
     """A concrete attack set: which agents and observers carry hostile inputs.
 
     ``p_bound`` is the adversary's budget; the set sizes must not exceed it.
     Attack inputs are numbered with compromised agents first (ascending),
     then compromised observers (ascending). Indices and the budget must
-    be integers.
+    be integers; the index sets are kept as frozensets of ints.
     """
 
-    compromised_agents: frozenset
-    compromised_observers: frozenset
-    p_bound: int
+    __match_args__ = ("compromised_agents", "compromised_observers", "p_bound")
 
-    def __post_init__(self):
+    def __init__(self, compromised_agents, compromised_observers, p_bound: int):
         try:
-            object.__setattr__(self, "compromised_agents",
-                               frozenset(map(operator.index, self.compromised_agents)))
-            object.__setattr__(self, "compromised_observers",
-                               frozenset(map(operator.index, self.compromised_observers)))
+            agents = frozenset(map(operator.index, compromised_agents))
+            observers = frozenset(map(operator.index, compromised_observers))
         except TypeError:
             raise ValueError("every attacked agent and observer index must be an integer") from None
-        object.__setattr__(self, "p_bound", _whole_number(self.p_bound, "attack budget p"))
-        if self.p_bound < 0:
+        p_bound = _whole_number(p_bound, "attack budget p")
+        if p_bound < 0:
             raise ValueError("p_bound must be nonnegative")
-        if self.num_inputs > self.p_bound:
-            raise ValueError(
-                f"attack set of size {self.num_inputs} exceeds budget p={self.p_bound}")
+        size = len(agents) + len(observers)
+        if size > p_bound:
+            raise ValueError(f"attack set of size {size} exceeds budget p={p_bound}")
+        _set(self, "compromised_agents", agents)
+        _set(self, "compromised_observers", observers)
+        _set(self, "p_bound", p_bound)
 
     @property
     def num_inputs(self) -> int:
         return len(self.compromised_agents) + len(self.compromised_observers)
 
+    def _input_order(self):
+        """(agents, observers): the attacked indices, each ascending; the
+        attack inputs take this order, agents first."""
+        return sorted(self.compromised_agents), sorted(self.compromised_observers)
+
     def _target_vertices(self, n: int) -> list:
         """Each input's target vertex, given n agents: xi is i-1, yk n+k-1."""
-        return ([i - 1 for i in sorted(self.compromised_agents)]
-                + [n + k - 1 for k in sorted(self.compromised_observers)])
+        agents, observers = self._input_order()
+        return [i - 1 for i in agents] + [n + k - 1 for k in observers]
 
     def target_ids(self) -> list:
         """Attacked node ids in attack-input order."""
-        return ([agent_id(i) for i in sorted(self.compromised_agents)]
-                + [observer_id(k) for k in sorted(self.compromised_observers)])
+        agents, observers = self._input_order()
+        return list(map(agent_id, agents)) + list(map(observer_id, observers))
 
 
-@dataclass(frozen=True)
-class StructuredSystem:
+class StructuredSystem(_Record):
     """A topology together with an attack scenario; fixes the zero pattern
-    of the state, output and attack matrices."""
+    of the state, output and attack matrices. Every attacked index must
+    lie in the topology."""
 
-    topology: DcsTopology
-    scenario: AttackScenario
+    __match_args__ = ("topology", "scenario")
 
-    def __post_init__(self):
-        top, sc = self.topology, self.scenario
-        for i in sc.compromised_agents:
-            if not (1 <= i <= top.n):
+    def __init__(self, topology: DcsTopology, scenario: AttackScenario):
+        for i in scenario.compromised_agents:
+            if not (1 <= i <= topology.n):
                 raise ValueError(f"compromised agent x{i} out of range")
-        for k in sc.compromised_observers:
-            if not (1 <= k <= top.m):
+        for k in scenario.compromised_observers:
+            if not (1 <= k <= topology.m):
                 raise ValueError(f"compromised observer y{k} out of range")
+        _set(self, "topology", topology)
+        _set(self, "scenario", scenario)
 
     @property
     def num_attack_inputs(self) -> int:

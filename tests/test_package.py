@@ -2,8 +2,9 @@
 
 The graph layer and the graph-only CLI commands, and a numeric command
 refused for a bad --eta or --seed or an empty attack set, must run on the
-standard library alone; numpy loads with the first numeric name, and scipy
-never does.
+standard library alone, without the dataclasses machinery (``dataclasses``
+and the ``inspect`` it imports); numpy loads with the first numeric name,
+and scipy never does.
 """
 
 import json
@@ -42,9 +43,10 @@ runs = [
 codes = [main(argv) for argv in runs]
 numeric = ("numpy", "scipy")
 graph_only = [name for name in numeric if name in sys.modules]
+machinery = [name for name in ("dataclasses", "inspect") if name in sys.modules]
 stealthguard.realize
 after_realize = [name for name in numeric if name in sys.modules]
-print(json.dumps({"codes": codes, "graph_only": graph_only,
+print(json.dumps({"codes": codes, "graph_only": graph_only, "machinery": machinery,
                   "after_realize": after_realize}))
 """
 
@@ -57,6 +59,7 @@ def test_graph_only_runs_load_neither_numpy_nor_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
     assert report["graph_only"] == []
+    assert report["machinery"] == []
     assert report["after_realize"] == ["numpy"]
 
 

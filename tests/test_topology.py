@@ -348,6 +348,39 @@ def test_parse_topology_fuzz_returns_topology_or_format_error(text):
     assert isinstance(top, DcsTopology) and type(p) is int
 
 
+def test_parsed_topology_equals_the_publicly_constructed_one():
+    rng = np.random.default_rng(28)
+    tops = [random_topology(rng, n_max=9) for _ in range(30)]
+    tops.append(synthesize(SynthesisSpec(400, 5, 5)).topology)
+    for t in tops:
+        public = DcsTopology(t.n, t.m, sorted(t.agent_edges), list(t.observer_assignment.items()))
+        for text in (format_topology(t, 2), topology_to_json(t, 2)):
+            parsed, _ = parse_topology(text)
+            assert parsed == public
+            assert type(parsed.agent_edges) is frozenset
+            assert type(parsed.observer_assignment) is dict
+            assert all(type(i) is int for edge in parsed.agent_edges for i in edge)
+            assert all(type(i) is int for item in parsed.observer_assignment.items()
+                       for i in item)
+
+
+@pytest.mark.parametrize("n, m, edges, sensors", [
+    (1, 2, [(1, 1)], {1: 1, 2: 1}),
+    (2, 0, [(1, 1), (2, 2), (2, 3)], {}),
+    (2, 0, [(1, 1), (1, 2)], {}),
+    (2, 1, [(1, 1), (2, 2)], {2: 1}),
+    (3, 2, [(1, 1), (2, 2), (3, 3)], {1: 2, 2: 2}),
+])
+def test_parser_runs_the_constructors_checks_with_its_messages(n, m, edges, sensors):
+    with pytest.raises(ValueError) as public:
+        DcsTopology(n, m, edges, sensors)
+    text = "\n".join([f"{n} {m} 0"] + [f"edge x{a} x{b}" for a, b in edges]
+                     + [f"sensor y{k} x{j}" for k, j in sensors.items()])
+    with pytest.raises(TopologyFormatError) as parsed:
+        parse_topology(text)
+    assert str(parsed.value) == str(public.value)
+
+
 def test_parse_rejects_missing_self_loop():
     with pytest.raises(TopologyFormatError):
         parse_topology("2 0 0\nedge x1 x1\nedge x1 x2\n")
