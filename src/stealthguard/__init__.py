@@ -37,7 +37,6 @@ from .separators import (
 from .topology import (
     AttackScenario,
     DcsTopology,
-    Digraph,
     StructuredSystem,
     TopologyFormatError,
     build_separator_graph,
@@ -56,7 +55,6 @@ __all__ = [
     "AttackTrace",
     "Counterexample",
     "DcsTopology",
-    "Digraph",
     "FilterConvergenceError",
     "InfeasibilityError",
     "LinkingResult",

@@ -15,6 +15,7 @@ round-robin, and the result is re-certified before it is returned.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .separators import InfeasibilityError, certify_robustness
 from .topology import DcsTopology, _Record, _set, _whole_number
@@ -114,11 +115,14 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     range: every extra sensor saves one link on the full attack surface
     (and p links in the agents-only class). Exact ties go to the small end,
     m = p, as does p = 0, where the link count no longer depends on m.
-    Returns (m, total_cost).
+    Returns (m, total_cost); a cost that is not a real number, or a total
+    too large for a float, is a ValueError.
     """
     n, p = _whole_number(n, "n"), _whole_number(p, "p")
     if not (0 <= p <= n):
         raise ValueError(f"need 0 <= p <= n, got n={n} p={p}")
+    if not all(isinstance(c, numbers.Real) for c in (cost_link, cost_sensor)):
+        raise ValueError(f"unit costs must be real numbers, got {cost_link!r} and {cost_sensor!r}")
     if not all(c > 0 and math.isfinite(c) for c in (cost_link, cost_sensor)):
         raise ValueError("unit costs must be positive and finite")
     if p == 0:
@@ -128,7 +132,11 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     else:
         m_star = p if cost_sensor >= cost_link * p else n
     links = min_links_value(n, m_star, p, observers_attackable)
-    return m_star, cost_link * links + cost_sensor * m_star
+    total = cost_link * links + cost_sensor * m_star
+    if not math.isfinite(total):
+        raise ValueError(f"total cost of {links} links at {cost_link:g} and {m_star} sensors "
+                         f"at {cost_sensor:g} overflows a float")
+    return m_star, total
 
 
 def synthesize_platoon(n: int, m: int, p: int,

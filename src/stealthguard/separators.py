@@ -11,13 +11,14 @@ read from the marks of the flow's last, failed search. Augmentation is by
 shortest path (breadth-first search), so results are deterministic for a
 fixed input.
 
-Networks are built in integer vertex numbers. Linking, left invertibility
-and certification take them straight from the topology's cached integer
-core (see :mod:`stealthguard.topology`), appending the few extra vertices a
-query needs (attack inputs, super source and sink, the sensor sink);
-``max_disjoint_paths`` maps its Digraph to integers first; the numeric
-layer's linking bound builds ``max_linking``'s network from a pattern.
-Ids are looked up in a names table only when a result object is made.
+Networks are built in integer vertex numbers, from the ``succ`` of the
+graph layer's one graph type, :class:`stealthguard.topology.Digraph`.
+``max_disjoint_paths`` runs on the graph it is given; certification runs
+on ``build_separator_graph``; linking and left invertibility run on the
+topology's cached communication digraph and append the attack inputs, the
+super source and the sink; the numeric layer's linking bound builds
+``max_linking``'s network from a pattern. Ids are looked up in a graph's
+``names`` only when a result object is made.
 
 All functions are pure; certification builds one network per sink and
 reuses it for every agent, resetting its capacities between agents.
@@ -35,6 +36,8 @@ from .topology import (
     _Record,
     _set,
     _whole_number,
+    attack_input_id,
+    build_separator_graph,
 )
 
 
@@ -250,16 +253,17 @@ def max_disjoint_paths(graph: Digraph, source, sink) -> SeparatorResult:
     vertex separator excluding them; adjacent endpoints admit no finite
     separator and yield a result with ``size=None``.
     """
-    if not graph.has_node(source) or not graph.has_node(sink):
+    index = graph._index
+    if source not in index or sink not in index:
         raise KeyError(f"unknown endpoint: {source!r} or {sink!r}")
     if source == sink:
         raise ValueError("source and sink must differ")
-    if graph.has_edge(source, sink):
+    s, t = index[source], index[sink]
+    if t in graph.succ[s]:
         return SeparatorResult(size=None, witness=None, disjoint_paths=())
-    names = graph.nodes()
-    idx = {v: i for i, v in enumerate(names)}
-    net = _VertexFlowNet([[idx[w] for w in graph.successors(v)] for v in names], idx[sink])
-    value = net.max_flow(idx[source])
+    net = _VertexFlowNet(graph.succ, t)
+    value = net.max_flow(s)
+    names = graph.names
     witness = frozenset(names[v] for v in net.source_side_cut())
     paths = tuple(tuple(names[v] for v in p) for p in net.extract_paths(value))
     assert len(witness) == value
@@ -289,9 +293,12 @@ def max_linking(sys: StructuredSystem) -> LinkingResult:
     p_in = sys.num_attack_inputs
     if p_in == 0:
         return LinkingResult(size=0, paths=())
-    core = sys.topology._core
-    names, succ = core.attack_lists(sys.scenario)
-    net, value = _linking_flow(succ[:core.n], core.m, succ[core.n + core.m:])
+    n, m = sys.topology.n, sys.topology.m
+    graph = sys.topology._core
+    # input t is vertex n+m+t-1 and feeds the t-th of scenario.target_ids()
+    inputs = [(v,) for v in sys.scenario._target_vertices(n)]
+    net, value = _linking_flow(graph.succ[:n], m, inputs)
+    names = graph.names + tuple(map(attack_input_id, range(1, p_in + 1)))
     paths = tuple(tuple(names[v] for v in p[1:-1]) for p in net.extract_paths(value))
     return LinkingResult(size=value, paths=paths)
 
@@ -332,8 +339,8 @@ def certify_robustness(topology: DcsTopology, p: int,
             f"m={topology.m} sensors cannot withstand p={p} attacks on the "
             f"full surface: an adversary hitting all sensors plus one agent "
             f"always stays hidden; need m >= p")
-    core = topology._core
-    names, succ = core.separator_lists(collapse_observers=not observers_attackable)
+    graph = build_separator_graph(topology, collapse_observers=not observers_attackable)
+    names, succ = graph.names, graph.succ
     if observers_attackable:
         agents = range(1, topology.n + 1)
     else:

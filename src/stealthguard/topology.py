@@ -12,13 +12,16 @@ graph get "u1", "u2", ...; the separator reduction adds the sink id "o".
 All containers here are immutable or treated as read-only once built, so
 values can be shared freely across threads.
 
-Every graph derived from a topology comes from one integer core, built the
-first time it is needed and cached on the immutable ``DcsTopology``: vertex
-v < n is agent x(v+1), vertex n+k-1 is observer yk, and each vertex keeps
-its successors in a tuple. ``topology_graph`` and ``build_separator_graph``
-fill their Digraphs from it, and the flow networks of
-:mod:`stealthguard.separators` are built from it without any Digraph.
-Id strings are made only at that boundary, and each comes from one shared
+The graph layer has one graph type, the immutable ``Digraph``: a tuple of
+id strings ``names`` and, per vertex, a tuple ``succ[v]`` of its
+successors as vertex numbers. A topology's communication digraph is built
+the first time it is needed and cached on the immutable ``DcsTopology``:
+vertex v < n is agent x(v+1) and vertex n+k-1 is observer yk.
+``topology_graph`` returns that graph itself, ``build_separator_graph``
+derives the sink graph from it, and the flow networks of
+:mod:`stealthguard.separators` are built from ``succ``. Ids are read from
+``names`` only when a result is made; a graph maps ids back to vertex
+numbers only when it is first asked by name. Each id comes from one shared
 source (the cached ``agent_id``, ``observer_id`` and ``attack_input_id``),
 so graphs, paths and witnesses of any number of queries share their
 strings.
@@ -33,11 +36,11 @@ Reading a topology file goes the other way: ``parse_topology`` turns each
 distinct id string into its index once per call, and nothing downstream
 reads an index back out of a string.
 
-The graph layer's records (``DcsTopology``, ``AttackScenario``,
-``StructuredSystem`` here, and the result and spec records of
-:mod:`stealthguard.separators` and :mod:`stealthguard.design`) are plain
-immutable classes on ``_Record``, not dataclasses, so a graph-only program
-never imports ``dataclasses`` and ``inspect``.
+The graph layer's records (``Digraph``, ``DcsTopology``,
+``AttackScenario``, ``StructuredSystem`` here, and the result and spec
+records of :mod:`stealthguard.separators` and :mod:`stealthguard.design`)
+are plain immutable classes on ``_Record``, not dataclasses, so a
+graph-only program never imports ``dataclasses`` and ``inspect``.
 """
 
 from __future__ import annotations
@@ -129,95 +132,6 @@ class TopologyFormatError(ValueError):
         super().__init__(message)
 
 
-class Digraph:
-    """Small insertion-ordered digraph on hashable node ids.
-
-    At most one edge per ordered pair; adding a duplicate raises. Successor
-    lists preserve insertion order so every traversal is deterministic.
-    """
-
-    __slots__ = ("_succ",)
-
-    def __init__(self):
-        self._succ: dict = {}
-
-    def add_node(self, v) -> None:
-        if v not in self._succ:
-            self._succ[v] = []
-
-    def add_edge(self, u, v) -> None:
-        self.add_node(u)
-        self.add_node(v)
-        if v in self._succ[u]:
-            raise ValueError(f"duplicate edge {u!r} -> {v!r}")
-        self._succ[u].append(v)
-
-    def has_node(self, v) -> bool:
-        return v in self._succ
-
-    def has_edge(self, u, v) -> bool:
-        return u in self._succ and v in self._succ[u]
-
-    def nodes(self) -> list:
-        return list(self._succ)
-
-    def successors(self, v) -> list:
-        return list(self._succ[v])
-
-    def edges(self):
-        for u, outs in self._succ.items():
-            for v in outs:
-                yield (u, v)
-
-
-def _digraph(names, succ) -> Digraph:
-    """Digraph on ``names`` whose vertex v has successors ``succ[v]``."""
-    g = Digraph()
-    g._succ = {v: [names[w] for w in ws] for v, ws in zip(names, succ)}
-    return g
-
-
-class _GraphCore:
-    """Integer adjacency of one topology (see the module docstring).
-
-    ``succ[v]`` lists v's successors in ``topology_graph`` order: an
-    agent's receivers ascending, its self-loop included, then the observer
-    that reads it, if any. Observers have no successors. ``names[v]`` is
-    v's id string.
-    """
-
-    __slots__ = ("n", "m", "names", "succ")
-
-    def __init__(self, topology: DcsTopology):
-        n, m = topology.n, topology.m
-        succ = [[] for _ in range(n)]
-        for a, b in sorted(topology.agent_edges):
-            succ[a - 1].append(b - 1)
-        for k, j in topology.observer_assignment.items():
-            succ[j - 1].append(n + k - 1)  # at most one observer per agent
-        self.n, self.m = n, m
-        self.names = (tuple(agent_id(i) for i in range(1, n + 1))
-                      + tuple(observer_id(k) for k in range(1, m + 1)))
-        self.succ = tuple(map(tuple, succ)) + ((),) * m
-
-    def separator_lists(self, collapse_observers: bool):
-        """(names, succ) of :func:`build_separator_graph`; the sink is last."""
-        n, m = self.n, self.m
-        if not collapse_observers:
-            return self.names + (OBSERVER_SINK,), self.succ[:n] + ((n + m,),) * m + ((),)
-        # an observer, when an agent has one, is its last successor
-        succ = [ws[:-1] + (n,) if ws[-1] >= n else ws for ws in self.succ[:n]]
-        return self.names[:n] + (OBSERVER_SINK,), succ + [()]
-
-    def attack_lists(self, scenario: AttackScenario):
-        """(names, succ) of the communication graph plus one input vertex
-        per attacked node: input t is vertex n+m+t-1, named ``u<t>``, and
-        feeds the t-th of ``scenario.target_ids()``."""
-        targets = scenario._target_vertices(self.n)
-        names = self.names + tuple(attack_input_id(t) for t in range(1, len(targets) + 1))
-        return names, self.succ + tuple((v,) for v in targets)
-
-
 class _Record:
     """Base of the graph layer's immutable records.
 
@@ -254,6 +168,33 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Digraph(_Record):
+    """Immutable digraph on vertices 0..len(names)-1 (see the module docstring).
+
+    ``names[v]`` is vertex v's id string and ``succ[v]`` its successors as
+    vertex numbers, in the order every traversal follows. The constructor
+    keeps both as given. ``nodes`` and ``successors`` answer in id strings.
+    """
+
+    __match_args__ = ("names", "succ")
+
+    def __init__(self, names, succ):
+        _set(self, "names", names)
+        _set(self, "succ", succ)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Vertex number of each id, built on the first lookup by name."""
+        return {v: i for i, v in enumerate(self.names)}
+
+    def nodes(self) -> list:
+        return list(self.names)
+
+    def successors(self, v) -> list:
+        names = self.names
+        return [names[w] for w in self.succ[self._index[v]]]
 
 
 class DcsTopology(_Record):
@@ -313,8 +254,19 @@ class DcsTopology(_Record):
         return frozenset(range(1, self.n + 1)) - self.observed_agents
 
     @cached_property
-    def _core(self) -> _GraphCore:
-        return _GraphCore(self)
+    def _core(self) -> Digraph:
+        """The communication digraph. An agent's successors are its
+        receivers ascending, its self-loop included, then the observer that
+        reads it, if any; observers have none."""
+        n, m = self.n, self.m
+        succ = [[] for _ in range(n)]
+        for a, b in sorted(self.agent_edges):
+            succ[a - 1].append(b - 1)
+        for k, j in self.observer_assignment.items():
+            succ[j - 1].append(n + k - 1)  # at most one observer per agent
+        names = (tuple(map(agent_id, range(1, n + 1)))
+                 + tuple(map(observer_id, range(1, m + 1))))
+        return Digraph(names, tuple(map(tuple, succ)) + ((),) * m)
 
 
 class AttackScenario(_Record):
@@ -389,20 +341,26 @@ class StructuredSystem(_Record):
 # ---- graph construction ----
 
 def topology_graph(topology: DcsTopology) -> Digraph:
-    """The communication digraph over agents and observers."""
-    core = topology._core
-    return _digraph(core.names, core.succ)
+    """The communication digraph over agents and observers, shared: every
+    call returns the topology's one immutable graph."""
+    return topology._core
 
 
 def build_separator_graph(topology: DcsTopology, collapse_observers: bool = False) -> Digraph:
-    """Reduction graph with a single sink ``o`` behind the sensors.
+    """Reduction graph with a single sink ``o``, the last vertex, behind the
+    sensors; a new graph on every call.
 
     With ``collapse_observers`` false the graph keeps observer nodes and
     wires each of them into ``o``, so separators may contain observers.
     With it true the observers vanish and each observed agent is wired
     straight into ``o``; separators are then sets of agents only.
     """
-    return _digraph(*topology._core.separator_lists(collapse_observers))
+    graph, n, m = topology._core, topology.n, topology.m
+    if not collapse_observers:
+        return Digraph(graph.names + (OBSERVER_SINK,), graph.succ[:n] + ((n + m,),) * m + ((),))
+    # an observer, when an agent has one, is its last successor
+    succ = [ws[:-1] + (n,) if ws[-1] >= n else ws for ws in graph.succ[:n]]
+    return Digraph(graph.names[:n] + (OBSERVER_SINK,), (*succ, ()))
 
 
 # ---- file format ----
@@ -549,7 +507,7 @@ def topology_to_json(topology: DcsTopology, p: int) -> str:
 
 
 def load_topology(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
         return parse_topology(fh.read())
 
 

@@ -3,7 +3,7 @@
 Everything here trades speed for obvious correctness: exhaustive subset
 removal for separators, exhaustive path-family search for linkings,
 exhaustive attack-set enumeration for robustness verdicts, graphs
-built one ``Digraph.add_edge`` at a time, the attack-to-output
+built one edge at a time as plain string adjacency, the attack-to-output
 transfer matrix evaluated in floating point, the filter's Riccati
 recursion stepped one step at a time, plant and filter stepped together
 one step at a time, and the normal rank from a fixed number of exact
@@ -17,13 +17,43 @@ import numpy as np
 from stealthguard import (
     AttackScenario,
     DcsTopology,
-    Digraph,
     StructuredSystem,
     is_structurally_left_invertible,
 )
 from stealthguard.simulation import _pencil_rank
-from stealthguard.topology import OBSERVER_SINK, agent_id, attack_input_id, observer_id, \
-    parse_agent_id, parse_observer_id
+from stealthguard.topology import OBSERVER_SINK, Digraph, agent_id, attack_input_id, \
+    observer_id, parse_agent_id, parse_observer_id
+
+
+class StringGraph(dict):
+    """Plain string adjacency, built one edge at a time: each node id maps
+    to its successor ids in insertion order. It reads like the library's
+    ``Digraph`` through ``nodes`` and ``successors``."""
+
+    def add_node(self, v) -> None:
+        self.setdefault(v, [])
+
+    def add_edge(self, u, v) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        assert v not in self[u], f"duplicate edge {u!r} -> {v!r}"
+        self[u].append(v)
+
+    def nodes(self) -> list:
+        return list(self)
+
+    def successors(self, v) -> list:
+        return list(self[v])
+
+
+def digraph(names, edges) -> Digraph:
+    """The library's ``Digraph`` on ``names`` with the (tail, head) id
+    pairs of ``edges``, each vertex's successors in edge order."""
+    index = {v: i for i, v in enumerate(names)}
+    succ = [[] for _ in names]
+    for a, b in edges:
+        succ[index[a]].append(index[b])
+    return Digraph(tuple(names), tuple(map(tuple, succ)))
 
 
 def reachable(graph, start, blocked=frozenset()):
@@ -108,10 +138,10 @@ def simple_paths_to(graph, source, sinks):
     return paths
 
 
-def reference_topology_graph(topology: DcsTopology) -> Digraph:
+def reference_topology_graph(topology: DcsTopology) -> StringGraph:
     """``topology_graph`` built edge by edge: agents, then observers; sorted
     agent edges, then each observer's edge by observer index."""
-    g = Digraph()
+    g = StringGraph()
     for i in range(1, topology.n + 1):
         g.add_node(agent_id(i))
     for k in range(1, topology.m + 1):
@@ -123,16 +153,16 @@ def reference_topology_graph(topology: DcsTopology) -> Digraph:
     return g
 
 
-def reference_attack_graph(sys: StructuredSystem) -> Digraph:
-    """The attack graph of ``DcsTopology._core.attack_lists`` built edge by
-    edge: input u<t> feeds the t-th target."""
+def reference_attack_graph(sys: StructuredSystem) -> StringGraph:
+    """The attack graph of ``max_linking`` built edge by edge: the
+    communication graph, then input u<t> feeding the t-th target."""
     g = reference_topology_graph(sys.topology)
     for t, target in enumerate(sys.scenario.target_ids(), start=1):
         g.add_edge(attack_input_id(t), target)
     return g
 
 
-def reference_separator_graph(topology: DcsTopology, collapse_observers: bool) -> Digraph:
+def reference_separator_graph(topology: DcsTopology, collapse_observers: bool) -> StringGraph:
     """``build_separator_graph`` built edge by edge, sink ``o`` last."""
     if not collapse_observers:
         g = reference_topology_graph(topology)
@@ -140,7 +170,7 @@ def reference_separator_graph(topology: DcsTopology, collapse_observers: bool) -
         for k in range(1, topology.m + 1):
             g.add_edge(observer_id(k), OBSERVER_SINK)
         return g
-    g = Digraph()
+    g = StringGraph()
     for i in range(1, topology.n + 1):
         g.add_node(agent_id(i))
     g.add_node(OBSERVER_SINK)
@@ -221,15 +251,8 @@ def brute_robust(topology: DcsTopology, p: int, observers_attackable: bool) -> b
 def random_digraph(rng, max_nodes=7, edge_prob=0.35) -> Digraph:
     """Random digraph on 2..max_nodes vertices, self-loops included."""
     n = int(rng.integers(2, max_nodes + 1))
-    graph = Digraph()
     names = [f"v{i}" for i in range(n)]
-    for name in names:
-        graph.add_node(name)
-    for a in names:
-        for b in names:
-            if rng.random() < edge_prob:
-                graph.add_edge(a, b)
-    return graph
+    return digraph(names, [(a, b) for a in names for b in names if rng.random() < edge_prob])
 
 
 def random_topology(rng, n_max=5, edge_prob=0.4, n=None, m=None) -> DcsTopology:

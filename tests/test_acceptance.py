@@ -49,7 +49,7 @@ def test_criterion_1_disjoint_paths_match_brute_force_separators():
         sink = others[int(rng.integers(len(others)))]
         got = max_disjoint_paths(g, source, sink).size
         want = brute_min_separator(g, source, sink)
-        assert got == want, (g.edges(), source, sink)
+        assert got == want, (g, source, sink)
         agree += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

@@ -63,6 +63,7 @@ CASES = {
     "sensors": "sensors --n 5 --p 2 --k1 1 --k2 2",
     "sensors-x-json": "sensors --n 30 --p 3 --k1 2 --k2 1 --class x --json",
     "sensors-nan-cost": "sensors --n 5 --p 2 --k1 1 --k2 nan",
+    "sensors-overflow": "sensors --n 1000 --p 2 --k1 1e308 --k2 1e308 --json",
     # simulate
     "simulate-dense-out": "simulate --topology dense.txt --attack x2 --horizon 40 --out out/sim.tsv",
     "simulate-dense-json-seed": "simulate --topology dense.txt --horizon 30 --seed 7 --json",

@@ -109,6 +109,18 @@ def test_sensor_count_rejects_costs_that_are_not_positive():
             optimal_sensor_count(5, 2, k1, k2)
 
 
+def test_sensor_count_rejects_costs_that_are_not_numbers():
+    for k1, k2 in (("1", 1), (1, "1"), (None, 1.0), (1.0, 2j)):
+        with pytest.raises(ValueError, match="real numbers"):
+            optimal_sensor_count(10, 2, k1, k2)
+
+
+def test_sensor_count_refuses_a_total_that_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        optimal_sensor_count(1000, 2, 1e308, 1e308)
+    assert optimal_sensor_count(1000, 2, 1e300, 1e300) == (2, 1e300 * 2998 + 1e300 * 2)
+
+
 def test_sensor_count_tie_breaks_toward_fewer_sensors():
     # mixed class: equal unit costs make every m equally good; pick m = p
     m, _ = optimal_sensor_count(6, 2, 1.0, 1.0)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from stealthguard import (
     AttackScenario,
     DcsTopology,
-    Digraph,
     InfeasibilityError,
     StructuredSystem,
     SynthesisSpec,
@@ -28,20 +27,17 @@ from oracles import (
     brute_min_separator,
     brute_robust,
     closest_min_separator,
+    digraph,
     enumerate_attacks,
     random_digraph,
     random_topology,
+    reference_attack_graph,
     separates,
 )
 
 
 def chain(*names):
-    g = Digraph()
-    for name in names:
-        g.add_node(name)
-    for a, b in zip(names, names[1:]):
-        g.add_edge(a, b)
-    return g
+    return digraph(names, zip(names, names[1:]))
 
 
 def scenario(agents=(), observers=(), p=None):
@@ -75,23 +71,14 @@ def test_endpoint_errors():
 
 
 def test_disconnected_pair_has_empty_separator():
-    g = Digraph()
-    g.add_node("a")
-    g.add_node("b")
-    res = max_disjoint_paths(g, "a", "b")
+    res = max_disjoint_paths(digraph(["a", "b"], []), "a", "b")
     assert res.size == 0
     assert res.witness == frozenset()
     assert res.disjoint_paths == ()
 
 
 def test_two_disjoint_routes():
-    g = Digraph()
-    for v in ("s", "p", "q", "t"):
-        g.add_node(v)
-    g.add_edge("s", "p")
-    g.add_edge("s", "q")
-    g.add_edge("p", "t")
-    g.add_edge("q", "t")
+    g = digraph(["s", "p", "q", "t"], [("s", "p"), ("s", "q"), ("p", "t"), ("q", "t")])
     res = max_disjoint_paths(g, "s", "t")
     assert res.size == 2
     assert res.witness == frozenset({"p", "q"})
@@ -120,7 +107,7 @@ def test_separator_result_consistency():
         source, sink = nodes[0], nodes[-1]
         res = max_disjoint_paths(g, source, sink)
         if res.size is None:
-            assert g.has_edge(source, sink)
+            assert sink in g.successors(source)
             continue
         assert len(res.witness) == res.size == len(res.disjoint_paths)
         assert source not in res.witness and sink not in res.witness
@@ -130,7 +117,7 @@ def test_separator_result_consistency():
         for path in res.disjoint_paths:
             assert path[0] == source and path[-1] == sink
             for a, b in zip(path, path[1:]):
-                assert g.has_edge(a, b)
+                assert b in g.successors(a)
             interior = set(path[1:-1])
             assert not (interior & seen_internal)
             seen_internal |= interior
@@ -145,13 +132,13 @@ def test_monotone_under_edge_addition():
         nodes = g.nodes()
         source, sink = nodes[0], nodes[-1]
         before = max_disjoint_paths(g, source, sink)
+        edges = [(a, b) for a in nodes for b in g.successors(a)]
         candidates = [(a, b) for a in nodes for b in nodes
-                      if a != b and not g.has_edge(a, b) and (a, b) != (source, sink)]
+                      if a != b and (a, b) not in edges and (a, b) != (source, sink)]
         if not candidates or before.size is None:
             continue
-        a, b = candidates[int(rng.integers(len(candidates)))]
-        g.add_edge(a, b)
-        after = max_disjoint_paths(g, source, sink)
+        extra = candidates[int(rng.integers(len(candidates)))]
+        after = max_disjoint_paths(digraph(nodes, edges + [extra]), source, sink)
         assert after.size is None or after.size >= before.size
 
 
@@ -195,13 +182,16 @@ def test_linking_matches_brute_force():
         sys = StructuredSystem(topology=t, scenario=scenario(agents=agents, observers=observers))
         res = max_linking(sys)
         assert res.size == brute_max_linking(sys)
-        # returned paths are themselves a valid disjoint family
+        # returned paths are themselves a valid disjoint family of paths of
+        # the attack graph built edge by edge
+        graph = reference_attack_graph(sys)
         used = set()
         for path in res.paths:
             verts = set(path)
             assert not (verts & used)
             used |= verts
             assert path[0].startswith("u") and path[-1].startswith("y")
+            assert all(b in graph.successors(a) for a, b in zip(path, path[1:]))
         assert len(res.paths) == res.size
 
 
@@ -343,7 +333,7 @@ def test_witness_is_the_minimum_separator_closest_to_the_source():
     while checked < 300:
         g = random_digraph(rng)
         source, sink = g.nodes()[0], g.nodes()[-1]
-        if g.has_edge(source, sink):
+        if sink in g.successors(source):
             continue
         assert max_disjoint_paths(g, source, sink).witness == \
             closest_min_separator(g, source, sink), checked
@@ -440,7 +430,7 @@ def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
     g = build_separator_graph(t, collapse_observers=not observers_attackable)
     h = nx.DiGraph()
     h.add_nodes_from(g.nodes())
-    h.add_edges_from((a, b) for a, b in g.edges() if a != b)
+    h.add_edges_from((a, b) for a in g.nodes() for b in g.successors(a) if a != b)
     aux = build_auxiliary_node_connectivity(h)
     residual = build_residual_network(aux, "capacity")
     for agent, size in report.per_agent_min_separator.items():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stealthguard import (
     AttackScenario,
     DcsTopology,
-    Digraph,
     StructuredSystem,
     SynthesisSpec,
     TopologyFormatError,
@@ -25,11 +24,11 @@ from stealthguard import (
     topology_graph,
     topology_to_json,
 )
-from stealthguard.topology import OBSERVER_SINK, _digraph, agent_id, observer_id, \
+from stealthguard.topology import OBSERVER_SINK, Digraph, agent_id, observer_id, \
     parse_agent_id, parse_observer_id
 
-from oracles import random_topology, reachable, reference_attack_graph, \
-    reference_separator_graph, reference_topology_graph
+from oracles import random_topology, reachable, reference_separator_graph, \
+    reference_topology_graph
 
 
 def ring(n, m=1, p=1):
@@ -40,17 +39,18 @@ def ring(n, m=1, p=1):
 
 
 def test_digraph_basics():
-    g = Digraph()
-    g.add_node("a")
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    assert g.has_node("a") and g.has_node("c")
-    assert g.has_edge("a", "b") and not g.has_edge("b", "a")
-    assert g.successors("a") == ["b"]
+    g = Digraph(("a", "b", "c"), ((1,), (2, 0), ()))
     assert g.nodes() == ["a", "b", "c"]
-    assert sorted(g.edges()) == [("a", "b"), ("b", "c")]
-    with pytest.raises(ValueError):
-        g.add_edge("a", "b")
+    assert g.successors("a") == ["b"] and g.successors("b") == ["c", "a"]
+    assert g.successors("c") == []
+    with pytest.raises(KeyError):
+        g.successors("zzz")
+    assert g == Digraph(("a", "b", "c"), ((1,), (2, 0), ()))
+    assert g != Digraph(("a", "b", "c"), ((1,), (0, 2), ()))
+    assert hash(g) == hash(Digraph(("a", "b", "c"), ((1,), (2, 0), ())))
+    assert repr(g) == "Digraph(names=('a', 'b', 'c'), succ=((1,), (2, 0), ()))"
+    with pytest.raises(AttributeError):
+        g.succ = ()
 
 
 def test_topology_validation_rejects_bad_data():
@@ -116,19 +116,31 @@ def test_builders_match_edge_by_edge_reference():
         for collapse in (False, True):
             assert (adjacency(build_separator_graph(t, collapse_observers=collapse))
                     == adjacency(reference_separator_graph(t, collapse)))
-        agents = {int(v) + 1 for v in rng.permutation(t.n)[: int(rng.integers(0, t.n + 1))]}
-        observers = {int(v) + 1 for v in rng.permutation(t.m)[: int(rng.integers(0, t.m + 1))]}
-        scen = AttackScenario(agents, observers, len(agents) + len(observers))
-        assert (adjacency(_digraph(*t._core.attack_lists(scen)))
-                == adjacency(reference_attack_graph(StructuredSystem(t, scen))))
 
 
-def test_built_graphs_are_independent_copies():
+def test_topology_graph_is_shared_and_immutable():
     t = ring(3, m=1)
     g = topology_graph(t)
-    g.add_edge("x1", "x3")
-    g.add_node("extra")
+    assert topology_graph(t) is g
+    with pytest.raises(AttributeError):
+        g.succ = ()
+    assert type(g.names) is tuple and all(type(ws) is tuple for ws in g.succ)
+    for collapse in (False, True):
+        sep = build_separator_graph(t, collapse_observers=collapse)
+        assert type(sep.names) is tuple and all(type(ws) is tuple for ws in sep.succ)
     assert adjacency(topology_graph(t)) == adjacency(reference_topology_graph(t))
+
+
+def test_certification_leaves_no_state_on_the_topology():
+    # certify-scale keeps every synthesized topology, so certification
+    # caches nothing on it beyond the communication digraph, and builds no
+    # map from ids to vertex numbers
+    t = synthesize(SynthesisSpec(n=12, m=3, p=2)).topology
+    t = DcsTopology(t.n, t.m, t.agent_edges, t.observer_assignment)
+    for flag in (True, False):
+        certify_robustness(t, 2, observers_attackable=flag)
+    assert set(vars(t)) == {"n", "m", "agent_edges", "observer_assignment", "_core"}
+    assert set(vars(t._core)) == {"names", "succ"}
 
 
 def test_separator_graph_unreachable_sink_without_sensors():
@@ -143,11 +155,11 @@ def test_separator_graph_unreachable_sink_without_sensors():
 def test_separator_graph_platoon_tail_feeds_sink():
     t = synthesize_platoon(6, 2, 2, observers_attackable=False).topology
     g = build_separator_graph(t, collapse_observers=True)
-    assert g.has_edge("x5", OBSERVER_SINK)
-    assert g.has_edge("x6", OBSERVER_SINK)
-    assert not g.has_edge("x4", OBSERVER_SINK)
+    assert OBSERVER_SINK in g.successors("x5")
+    assert OBSERVER_SINK in g.successors("x6")
+    assert OBSERVER_SINK not in g.successors("x4")
     full = build_separator_graph(t, collapse_observers=False)
-    assert full.has_edge("x5", "y1") and full.has_edge("y1", OBSERVER_SINK)
+    assert "y1" in full.successors("x5") and full.successors("y1") == [OBSERVER_SINK]
 
 
 def test_separator_graph_reachability_matches_topology():
@@ -414,6 +426,16 @@ def test_save_load_round_trip(tmp_path):
     save_topology(path, t, 1)
     t2, p2 = load_topology(path)
     assert t2 == t and p2 == 1
+
+
+@pytest.mark.parametrize("writer", [format_topology, topology_to_json])
+def test_a_byte_order_mark_is_ignored_on_load(tmp_path, writer):
+    t = ring(5, m=2)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(writer(t, 2), encoding="utf-8")
+    marked.write_text(writer(t, 2), encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_topology(marked) == load_topology(plain) == (t, 2)
 
 
 PAIR_EDGES = {(1, 1), (2, 2), (1, 2)}
