@@ -22,6 +22,15 @@ super source and the sink; the numeric layer's linking bound builds
 
 All functions are pure; certification builds one network per sink and
 reuses it for every agent, resetting its capacities between agents.
+
+A vertex passes at most one unit of flow, so at most one of its in-edges
+carries flow. An entry copy therefore has exactly one usable residual arc:
+its split arc while no flow enters the vertex, and otherwise the reverse
+of the one in-edge that carries flow in. The network records that in-edge
+per vertex as it applies each augmenting path, and the search expands an
+entry copy in O(1) instead of scanning the in-edges of a sensor hub. The
+record is read only while the split arc is saturated, so resetting the
+capacities between agents also retires it.
 """
 
 from __future__ import annotations
@@ -135,6 +144,12 @@ class _VertexFlowNet:
     augmenting path. When the endpoints are not adjacent every augmenting
     path crosses a split arc and carries one unit; callers never flow
     between adjacent endpoints.
+
+    An entry copy has no arc list: the search leaves it along its split
+    arc while that is free, and otherwise along the reverse of the one
+    in-edge carrying the vertex's unit, which ``_augment`` records in
+    ``_inflow``. That is the only arc a scan of its in-edges would find
+    usable, so the search visits the copies in the same order.
     """
 
     def __init__(self, succ, sink: int):
@@ -143,10 +158,10 @@ class _VertexFlowNet:
         edge_cap = nv + 1  # exceeds any achievable flow, so never in a min cut
         # entry copy of vertex i is 2i, exit copy is 2i+1. Arc pairs (e, e^1)
         # are forward and residual; the split arcs come first, so arc id
-        # e < 2*nv is the split arc of vertex e // 2, and then one pair per
-        # edge, by tail vertex and successor order.
-        entry = [[2 * i] for i in range(nv)]
-        exit_ = [[2 * i + 1] for i in range(nv)]
+        # e < 2*nv is the split arc of vertex e // 2 (and so has the id of
+        # its entry copy), and then one pair per edge, by tail vertex and
+        # successor order. Only exit copies have arc lists.
+        out = [[2 * i + 1] for i in range(nv)]
         heads, tails = [], []
         arc = 2 * nv
         for u, ws in enumerate(succ):
@@ -154,47 +169,57 @@ class _VertexFlowNet:
                 at = ws.index(u)
                 ws = ws[:at] + ws[at + 1:]
             if ws:
-                exit_[u] += range(arc, arc + 2 * len(ws), 2)
+                out[u] += range(arc, arc + 2 * len(ws), 2)
                 heads += ws
                 tails += [2 * u + 1] * len(ws)
                 arc += 2 * len(ws)
-        for e, w in zip(range(2 * nv + 1, arc, 2), heads):
-            entry[w].append(e)
         to = [0] * arc
         to[0:2 * nv:2] = range(1, 2 * nv, 2)
         to[1:2 * nv:2] = range(0, 2 * nv, 2)
         to[2 * nv::2] = [2 * w for w in heads]
         to[2 * nv + 1::2] = tails
-        adj = [None] * (2 * nv)
-        adj[0::2] = entry
-        adj[1::2] = exit_
-        self._to, self._adj = to, adj
+        self._to, self._out = to, out
         self._init_cap = [1, 0] * nv + [edge_cap, 0] * len(heads)
         self._cap = list(self._init_cap)
+        # the forward edge arc carrying flow into vertex i; read only while
+        # i's split arc is saturated, so a stale entry needs no reset. The
+        # sink takes many units, but the search never expands its entry copy.
+        self._inflow = [0] * nv
         self._sink = 2 * sink
         self._source = None
 
     def _augment(self) -> bool:
         """Push one unit along a shortest residual path, if there is one."""
-        to, cap, adj, sink = self._to, self._cap, self._adj, self._sink
+        to, cap, out, inflow, sink = self._to, self._cap, self._out, self._inflow, self._sink
         self._parent = parent = [-1] * (2 * self._nv)
         parent[self._source] = -2
         queue = deque([self._source])
         while queue and parent[sink] == -1:
-            for e in adj[queue.popleft()]:
+            u = queue.popleft()
+            if u & 1:
+                for e in out[u >> 1]:
+                    v = to[e]
+                    if cap[e] > 0 and parent[v] == -1:
+                        parent[v] = e
+                        if v == sink:
+                            break
+                        queue.append(v)
+            else:  # entry copy: its one usable arc leads to an exit copy, never the sink
+                e = u if cap[u] else inflow[u >> 1] ^ 1
                 v = to[e]
-                if cap[e] > 0 and parent[v] == -1:
+                if parent[v] == -1:
                     parent[v] = e
-                    if v == sink:
-                        break
                     queue.append(v)
         if parent[sink] == -1:
             return False
+        nv2 = 2 * self._nv
         v = sink
         while v != self._source:
             e = parent[v]
             cap[e] -= 1
             cap[e ^ 1] += 1
+            if e >= nv2 and not e & 1:  # flow now enters v along this edge
+                inflow[v >> 1] = e
             v = to[e ^ 1]
         return True
 
@@ -225,22 +250,26 @@ class _VertexFlowNet:
     def extract_paths(self, count) -> list:
         """Decompose the flow into `count` vertex-disjoint vertex paths."""
         used = [self._init_cap[e] - self._cap[e] for e in range(0, len(self._cap), 2)]
-        to, adj = self._to, self._adj
+        to, out = self._to, self._out
         paths = []
         src = (self._source - 1) // 2
         for _ in range(count):
             path = [src]
             cur = self._source
             while cur != self._sink:
-                for e in adj[cur]:
+                # from an exit copy along a used edge to an entry copy, then
+                # across that vertex's split arc to its exit copy
+                for e in out[cur >> 1]:
                     if e % 2 == 0 and used[e // 2] > 0:
                         used[e // 2] -= 1
-                        if e < 2 * self._nv:
-                            path.append(e // 2)
                         cur = to[e]
                         break
                 else:  # pragma: no cover - flow conservation rules this out
                     raise AssertionError("flow decomposition dead-ended")
+                if cur != self._sink:
+                    used[cur >> 1] -= 1
+                    path.append(cur >> 1)
+                    cur += 1
             path.append(self._sink // 2)
             paths.append(path)
         return paths

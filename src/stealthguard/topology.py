@@ -371,7 +371,11 @@ def build_separator_graph(topology: DcsTopology, collapse_observers: bool = Fals
 # (line, kind, id, id) records, and parse_topology checks the records.
 
 def parse_topology(text: str):
-    """Parse topology text (or JSON); returns (DcsTopology, p)."""
+    """Parse topology text (or JSON); returns (DcsTopology, p).
+
+    A leading byte-order mark is dropped.
+    """
+    text = text.removeprefix("\ufeff")
     reader = _json_records if text.lstrip()[:1] == "{" else _text_records
     (n, m, p), records = reader(text)
     agents = _IdTable(parse_agent_id)
@@ -507,7 +511,7 @@ def topology_to_json(topology: DcsTopology, p: int) -> str:
 
 
 def load_topology(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_topology(fh.read())
 
 

@@ -369,6 +369,17 @@ def test_source_side_cut_needs_a_flow_that_ran_to_exhaustion():
     assert net.source_side_cut() == [1, 2]
 
 
+def test_second_path_cancels_flow_through_a_saturated_entry_copy():
+    # the first shortest path 0-1-3-5 fills vertex 3; the second enters 3
+    # from 2, cancels the unit on edge 1->3 and leaves 1 toward 4 instead
+    net = _VertexFlowNet([[1, 2], [3, 4], [3], [5], [5], []], 5)
+    assert net.max_flow(0, cutoff=1) == 1
+    assert net.extract_paths(1) == [[0, 1, 3, 5]]
+    assert net.max_flow(0) == 2
+    assert net.extract_paths(2) == [[0, 1, 4, 5], [0, 2, 3, 5]]
+    assert net.source_side_cut() == [1, 2]
+
+
 def test_certify_monotone_under_edge_addition():
     rng = np.random.default_rng(71)
     for _ in range(30):
@@ -409,12 +420,28 @@ def test_report_dict_has_stable_keys():
     assert doc["counterexample"]["attack_agents"] == ["x1"]
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(10, 60), sensor_share=st.floats(0.0, 1.0),
-       edge_prob=st.floats(0.02, 0.2), p=st.integers(0, 5),
-       observers_attackable=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
-                                               observers_attackable, seed):
+def nx_closest_separator(nx, graph, source, sink):
+    """Closest minimum separator by networkx: the vertices whose entry copy,
+    but not exit copy, is reached from the source in the residual network
+    of a maximum flow. Edges have no capacity, so no edge is cut."""
+    split = nx.DiGraph()
+    for v in graph.nodes():
+        split.add_edge((v, 0), (v, 1), capacity=1)
+        split.add_edges_from(((v, 1), (w, 0)) for w in graph.successors(v) if w != v)
+    residual = nx.algorithms.flow.edmonds_karp(split, (source, 1), (sink, 0))
+    side = {(source, 1)}
+    frontier = [(source, 1)]
+    while frontier:
+        for w, arc in residual[frontier.pop()].items():
+            if arc["flow"] < arc["capacity"] and w not in side:
+                side.add(w)
+                frontier.append(w)
+    return frozenset(v for v in graph.nodes() if (v, 0) in side and (v, 1) not in side)
+
+
+def check_certify_against_networkx(t, p, observers_attackable):
+    """Per-agent counts are min(networkx connectivity, p), and the
+    counterexample's separator is the closest minimum separator."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.connectivity import (
         build_auxiliary_node_connectivity,
@@ -422,10 +449,6 @@ def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
     )
     from networkx.algorithms.flow import build_residual_network
 
-    m = round(sensor_share * n)
-    t = random_topology(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
-    if observers_attackable:
-        p = min(p, m)
     report = certify_robustness(t, p, observers_attackable=observers_attackable)
     g = build_separator_graph(t, collapse_observers=not observers_attackable)
     h = nx.DiGraph()
@@ -440,3 +463,50 @@ def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
     ce = report.counterexample
     if ce is not None:
         assert ce.separator == max_disjoint_paths(g, ce.agent, OBSERVER_SINK).witness
+        assert ce.separator == nx_closest_separator(nx, g, ce.agent, OBSERVER_SINK)
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 60), sensor_share=st.floats(0.0, 1.0),
+       edge_prob=st.floats(0.02, 0.2), p=st.integers(0, 5),
+       observers_attackable=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_certify_matches_networkx_connectivity(n, sensor_share, edge_prob, p,
+                                               observers_attackable, seed):
+    m = round(sensor_share * n)
+    t = random_topology(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
+    if observers_attackable:
+        p = min(p, m)
+    check_certify_against_networkx(t, p, observers_attackable)
+
+
+def hub_topology(rng, n, m, p, observers_attackable, extra_prob, cut):
+    """Sensor hubs: agents 1..m are observed, every other agent feeds p of
+    them (and a few random peers), and in class xy each observed agent
+    also feeds its p-1 next observed peers. With ``cut`` one random link
+    between two agents is removed."""
+    edges = {(i, i) for i in range(1, n + 1)}
+    for u in range(m + 1, n + 1):
+        edges.update((u, int(j) + 1) for j in rng.choice(m, size=p, replace=False))
+        edges.update((u, w) for w in range(m + 1, n + 1) if w != u and rng.random() < extra_prob)
+    if observers_attackable:
+        edges.update((j, (j + k - 1) % m + 1) for j in range(1, m + 1) for k in range(1, p))
+    if cut:
+        links = sorted((a, b) for a, b in edges if a != b)
+        edges.remove(links[int(rng.integers(len(links)))])
+    return DcsTopology(n=n, m=m, agent_edges=edges,
+                       observer_assignment={k: k for k in range(1, m + 1)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(20, 60), p=st.integers(1, 5), hub_share=st.floats(0.05, 0.25),
+       extra_prob=st.floats(0.0, 0.05), observers_attackable=st.booleans(),
+       cut=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_certify_matches_networkx_connectivity_on_sensor_hubs(n, p, hub_share, extra_prob,
+                                                              observers_attackable, cut, seed):
+    m = max(p, round(hub_share * n))
+    t = hub_topology(np.random.default_rng(seed), n, m, p, observers_attackable,
+                     extra_prob, cut)
+    report = check_certify_against_networkx(t, p, observers_attackable)
+    if not cut:
+        assert report.robust

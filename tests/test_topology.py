@@ -436,6 +436,14 @@ def test_a_byte_order_mark_is_ignored_on_load(tmp_path, writer):
     marked.write_text(writer(t, 2), encoding="utf-8-sig")
     assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     assert load_topology(marked) == load_topology(plain) == (t, 2)
+    assert parse_topology("\ufeff" + writer(t, 2)) == (t, 2)
+
+
+@pytest.mark.parametrize("text", ["1 0 0\nedge x1 x1\n",
+                                  '{"n": 1, "m": 0, "p": 0, "edges": [["x1", "x1"]], '
+                                  '"sensors": []}'])
+def test_parse_drops_a_leading_byte_order_mark(text):
+    assert parse_topology("\ufeff" + text) == parse_topology(text)
 
 
 PAIR_EDGES = {(1, 1), (2, 2), (1, 2)}
