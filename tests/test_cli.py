@@ -166,6 +166,13 @@ def test_sensors_reference_case(capsys):
     assert doc["m"] == 5 and doc["total_cost"] == 25.0
 
 
+def test_sensors_without_agents_names_n(capsys):
+    code, out, err = run(capsys, "sensors", "--n", "0", "--p", "0", "--k1", "1", "--k2", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one agent, got n=0\n"
+
+
 def test_simulate_runs_and_writes_trace(tmp_path, capsys):
     top = write_dense_design(tmp_path, capsys)
     trace = tmp_path / "trace.tsv"

@@ -13,6 +13,8 @@ from stealthguard import (
     topology_graph,
 )
 
+from stealthguard import design, separators
+
 from oracles import random_topology
 
 
@@ -78,6 +80,15 @@ def test_synthesize_infeasible_cases():
         synthesize(SynthesisSpec(n=4, m=1, p=2))
     with pytest.raises(InfeasibilityError):
         synthesize(SynthesisSpec(n=4, m=1, p=2, observers_attackable=False))
+
+
+def test_sensor_count_refuses_an_empty_network():
+    # the refusal names n, not the m=0 that the caller never gave
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"^need at least one agent, got n={n}$"):
+            optimal_sensor_count(n, 0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^need at least one agent, got n=0$"):
+        SynthesisSpec(n=0, m=0, p=0)
 
 
 def test_sensor_count_reference_cases():
@@ -187,3 +198,122 @@ def test_certified_implies_degree_bound():
                 agents = range(1, t.n + 1) if flag else t.unobserved_agents
                 assert all(len(g.successors(f"x{i}")) >= p + 1 for i in agents)
     assert hits >= 10
+
+
+def build_with_fans(monkeypatch, build, *args):
+    """(result, check arguments): the fans a constructor hands its checker."""
+    seen = []
+    check = design._check_fans
+
+    def spy(*check_args):
+        seen.append(check_args)
+        return check(*check_args)
+
+    monkeypatch.setattr(design, "_check_fans", spy)
+    res = build(*args)
+    monkeypatch.setattr(design, "_check_fans", check)
+    [check_args] = seen
+    return res, check_args
+
+
+CONSTRUCTIONS = [(synthesize, lambda n, m, p, flag: (SynthesisSpec(n, m, p, flag),)),
+                 (synthesize_platoon, lambda n, m, p, flag: (n, m, p, flag))]
+
+
+@pytest.mark.parametrize("build, args", CONSTRUCTIONS)
+def test_fan_checker_accepts_every_construction(monkeypatch, build, args):
+    for n, m, p in [(1, 0, 0), (3, 1, 0), (4, 2, 2), (9, 3, 3), (40, 6, 5), (200, 10, 10)]:
+        if build is synthesize_platoon and m == n:
+            continue
+        for flag in (True, False):
+            res, (top, budget, xy, fans) = build_with_fans(monkeypatch, build,
+                                                           *args(n, m, p, flag))
+            assert res.certified and top is res.topology and (budget, xy) == (p, flag)
+            agents = range(n) if flag else [i - 1 for i in sorted(top.unobserved_agents)]
+            assert sorted(agent for agent, _ in fans) == list(agents)
+            assert all(len(paths) == p for _, paths in fans)
+
+
+def test_fan_checker_rejects_broken_platoon_certificates(monkeypatch):
+    # class-x platoon on 8 agents, sensors on x7 and x8, vertex v is agent
+    # x(v+1) and the sink is 8. Fans come lead agent x6 first, x1 last, and
+    # x1's fan is [(0, 1), (0, 2)]: two hops to agents proved before it.
+    res, (top, p, xy, fans) = build_with_fans(monkeypatch, synthesize_platoon, 8, 2, 2)
+    assert res.certified and fans[-1] == (0, [(0, 1), (0, 2)])
+    assert fans[0] == (5, [(5, 6, 8), (5, 7, 8)])
+
+    def verdict(edit):
+        broken = [(agent, list(paths)) for agent, paths in fans]
+        edit(broken)
+        return design._check_fans(top, p, xy, broken)
+
+    def put(i, fan):
+        return lambda f: f.__setitem__(i, fan)
+
+    assert verdict(lambda f: None)
+    # x1 -> x2 -> x3 is made of edges and ends at a proved agent, but shares x2
+    assert not verdict(put(-1, (0, [(0, 1), (0, 1, 2)])))
+    # x1 -> x4 is not an edge: x1 feeds only x2 and x3
+    assert not verdict(put(-1, (0, [(0, 1), (0, 3)])))
+    # x5's fan ends at x6, which is proved only after it once the two swap
+    assert not verdict(lambda f: f.__setitem__(slice(0, 2), [f[1], f[0]]))
+    # one path for a budget of two
+    assert not verdict(put(-1, (0, [(0, 1)])))
+    # no fan for x1, an unobserved agent
+    assert not verdict(lambda f: f.pop())
+    # a path that leaves from another agent, is empty or goes nowhere
+    assert not verdict(put(-1, (0, [(1, 2), (0, 1)])))
+    assert not verdict(put(-1, (0, [(), (0, 1)])))
+    assert not verdict(put(-1, (0, [(0,), (0, 1)])))
+    # x6 stops at the observed x7, which no fan proves, jumps to the sink
+    # without a sensor, or runs on past the sink
+    assert not verdict(put(0, (5, [(5, 6), (5, 7, 8)])))
+    assert not verdict(put(0, (5, [(5, 8), (5, 7, 8)])))
+    assert not verdict(put(0, (5, [(5, 6, 8, 8), (5, 7, 8)])))
+
+
+def test_fan_checker_asks_class_xy_to_prove_observed_agents(monkeypatch):
+    res, (top, p, xy, fans) = build_with_fans(monkeypatch, synthesize, SynthesisSpec(6, 3, 2))
+    assert res.certified and fans[0] == (0, [(0, 6, 9), (0, 1, 7, 9)])
+    assert not design._check_fans(top, p, xy, fans[1:])
+    # an agent steps only to its own observer, and an observer only to the sink
+    assert not design._check_fans(top, p, xy, [(0, [(0, 7, 9), (0, 6, 9)])] + fans[1:])
+    assert not design._check_fans(top, p, xy, [(0, [(0, 6, 1, 7, 9), (0, 2, 8, 9)])] + fans[1:])
+    # only agents are proved: a fan for observer y1 does not let x1 stop there
+    assert not design._check_fans(top, p, xy, [(6, [(6, 9), (6, 9)]),
+                                               (0, [(0, 6), (0, 1, 7, 9)])] + fans[1:])
+    # the same design in class x asks nothing of x1..x3, and its sink is
+    # vertex 6, one step past each observed agent
+    unobserved = [(j, [path[:2] + (6,) for path in paths]) for j, paths in fans[3:]]
+    assert design._check_fans(top, p, False, unobserved)
+    assert not design._check_fans(top, p, False, unobserved[1:])
+
+
+def test_synthesis_builds_no_graph_and_runs_no_flow(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis ran a max flow")
+
+    monkeypatch.setattr(separators, "_VertexFlowNet", refuse)
+    for flag in (True, False):
+        for res in (synthesize(SynthesisSpec(30, 4, 3, flag)),
+                    synthesize_platoon(30, 4, 3, flag)):
+            assert res.certified
+            assert "_core" not in res.topology.__dict__
+
+
+def test_flow_certifies_every_small_construction():
+    # the max flow checks each construction independently of its fans: every
+    # design of acceptance criterion 3 and every feasible platoon up to n=12
+    checked = 0
+    for n in range(1, 13):
+        for m in range(n + 1):
+            for p in range(m + 1):
+                for flag in (True, False):
+                    built = [synthesize(SynthesisSpec(n, m, p, flag))] if n <= 8 else []
+                    if m < n:
+                        built.append(synthesize_platoon(n, m, p, flag))
+                    for res in built:
+                        report = certify_robustness(res.topology, p, observers_attackable=flag)
+                        assert report.robust and res.certified
+                        checked += 1
+    assert checked == 328 + 728  # designs, then platoons
