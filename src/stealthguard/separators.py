@@ -21,16 +21,17 @@ super source and the sink; the numeric layer's linking bound builds
 ``names`` only when a result object is made.
 
 All functions are pure; certification builds one network per sink and
-reuses it for every agent, resetting its capacities between agents.
+reuses it for every agent, clearing its flow between agents.
 
-A vertex passes at most one unit of flow, so at most one of its in-edges
-carries flow. An entry copy therefore has exactly one usable residual arc:
-its split arc while no flow enters the vertex, and otherwise the reverse
-of the one in-edge that carries flow in. The network records that in-edge
-per vertex as it applies each augmenting path, and the search expands an
-entry copy in O(1) instead of scanning the in-edges of a sensor hub. The
-record is read only while the split arc is saturated, so resetting the
-capacities between agents also retires it.
+The split graph is never built. A vertex passes at most one unit of flow,
+so the flow is two vertex arrays: the vertex that sends each vertex its
+unit and the vertex that takes it. An entry copy then has exactly one
+usable residual arc: its split arc while the vertex is free, and otherwise
+the reverse of the edge from the vertex that feeds it. So the search
+expands an entry copy in O(1) instead of scanning the in-edges of a sensor
+hub. An exit copy's residual arcs are the reverse of its split arc while
+the vertex carries a unit, and then its edges, which never saturate and
+so need no capacities. Clearing the flow resets the two arrays, O(|V|).
 """
 
 from __future__ import annotations
@@ -138,89 +139,69 @@ class _VertexFlowNet:
     """Split-vertex flow network toward one sink, reused across sources.
 
     Built from integer successor lists: vertex v's successors are
-    ``succ[v]``, and every result is in vertex numbers. Every split arc has
-    capacity 1. A flow leaves the exit copy of its source and ends at the
-    entry copy of the sink, so neither endpoint's own split arc lies on an
-    augmenting path. When the endpoints are not adjacent every augmenting
-    path crosses a split arc and carries one unit; callers never flow
-    between adjacent endpoints.
+    ``succ[v]``, and every result is in vertex numbers. Entry copy 2v and
+    exit copy 2v+1 exist only as numbers in the search. The flow is
+    ``_pred[v]``, the vertex that sends v its unit, and ``_next[v]``, the
+    vertex that takes it; both are -1 while v carries nothing. A flow
+    leaves the exit copy of its source and ends at the entry copy of the
+    sink, so neither endpoint's split arc lies on an augmenting path;
+    callers never flow between adjacent endpoints.
 
-    An entry copy has no arc list: the search leaves it along its split
-    arc while that is free, and otherwise along the reverse of the one
-    in-edge carrying the vertex's unit, which ``_augment`` records in
-    ``_inflow``. That is the only arc a scan of its in-edges would find
-    usable, so the search visits the copies in the same order.
+    Entry copy 2v has one usable arc: to its own exit copy while v is free,
+    and otherwise back to the exit copy of ``_pred[v]``. Exit copy 2v+1
+    goes back to its own entry copy while v carries a unit, and then to the
+    entry copy of every successor. A self-loop leads an exit copy to an
+    entry copy that is already marked, or at the source to one that leads
+    only back to the source.
     """
 
     def __init__(self, succ, sink: int):
-        nv = len(succ)
-        self._nv = nv
-        edge_cap = nv + 1  # exceeds any achievable flow, so never in a min cut
-        # entry copy of vertex i is 2i, exit copy is 2i+1. Arc pairs (e, e^1)
-        # are forward and residual; the split arcs come first, so arc id
-        # e < 2*nv is the split arc of vertex e // 2 (and so has the id of
-        # its entry copy), and then one pair per edge, by tail vertex and
-        # successor order. Only exit copies have arc lists.
-        out = [[2 * i + 1] for i in range(nv)]
-        heads, tails = [], []
-        arc = 2 * nv
-        for u, ws in enumerate(succ):
-            if u in ws:  # self-loops never lie on a simple path
-                at = ws.index(u)
-                ws = ws[:at] + ws[at + 1:]
-            if ws:
-                out[u] += range(arc, arc + 2 * len(ws), 2)
-                heads += ws
-                tails += [2 * u + 1] * len(ws)
-                arc += 2 * len(ws)
-        to = [0] * arc
-        to[0:2 * nv:2] = range(1, 2 * nv, 2)
-        to[1:2 * nv:2] = range(0, 2 * nv, 2)
-        to[2 * nv::2] = [2 * w for w in heads]
-        to[2 * nv + 1::2] = tails
-        self._to, self._out = to, out
-        self._init_cap = [1, 0] * nv + [edge_cap, 0] * len(heads)
-        self._cap = list(self._init_cap)
-        # the forward edge arc carrying flow into vertex i; read only while
-        # i's split arc is saturated, so a stale entry needs no reset. The
-        # sink takes many units, but the search never expands its entry copy.
-        self._inflow = [0] * nv
+        self._succ = succ
+        self._nv = len(succ)
         self._sink = 2 * sink
         self._source = None
 
     def _augment(self) -> bool:
         """Push one unit along a shortest residual path, if there is one."""
-        to, cap, out, inflow, sink = self._to, self._cap, self._out, self._inflow, self._sink
+        succ, pred, nxt, sink = self._succ, self._pred, self._next, self._sink
         self._parent = parent = [-1] * (2 * self._nv)
         parent[self._source] = -2
         queue = deque([self._source])
         while queue and parent[sink] == -1:
             u = queue.popleft()
+            x = u >> 1
             if u & 1:
-                for e in out[u >> 1]:
-                    v = to[e]
-                    if cap[e] > 0 and parent[v] == -1:
-                        parent[v] = e
+                if pred[x] != -1 and parent[u - 1] == -1:
+                    parent[u - 1] = u
+                    queue.append(u - 1)
+                for w in succ[x]:
+                    v = 2 * w
+                    if parent[v] == -1:
+                        parent[v] = u
                         if v == sink:
                             break
                         queue.append(v)
             else:  # entry copy: its one usable arc leads to an exit copy, never the sink
-                e = u if cap[u] else inflow[u >> 1] ^ 1
-                v = to[e]
+                v = u + 1 if pred[x] == -1 else 2 * pred[x] + 1
                 if parent[v] == -1:
-                    parent[v] = e
+                    parent[v] = u
                     queue.append(v)
         if parent[sink] == -1:
             return False
-        nv2 = 2 * self._nv
+        # only exit-to-entry steps change the arrays: a forward edge passes
+        # the unit on, and a step back across u's split arc frees u. Crossing
+        # an edge backward needs no record, as the path's next step rewrites
+        # the tail vertex.
         v = sink
         while v != self._source:
-            e = parent[v]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            if e >= nv2 and not e & 1:  # flow now enters v along this edge
-                inflow[v >> 1] = e
-            v = to[e ^ 1]
+            u = parent[v]
+            if u & 1 and not v & 1:
+                if u == v + 1:
+                    pred[v >> 1] = nxt[v >> 1] = -1
+                else:
+                    nxt[u >> 1] = v >> 1
+                    pred[v >> 1] = u >> 1
+            v = u
         return True
 
     def max_flow(self, source: int, cutoff=None) -> int:
@@ -228,7 +209,8 @@ class _VertexFlowNet:
 
         Starts from zero flow, so it discards the previous call's flow.
         """
-        self._cap[:] = self._init_cap
+        self._pred = [-1] * self._nv
+        self._next = [-1] * self._nv
         self._source = 2 * source + 1
         self._parent = None
         flow = 0
@@ -247,31 +229,18 @@ class _VertexFlowNet:
             raise RuntimeError("no source side: max_flow stopped at its cutoff")
         return [i for i in range(self._nv) if parent[2 * i] != -1 and parent[2 * i + 1] == -1]
 
-    def extract_paths(self, count) -> list:
-        """Decompose the flow into `count` vertex-disjoint vertex paths."""
-        used = [self._init_cap[e] - self._cap[e] for e in range(0, len(self._cap), 2)]
-        to, out = self._to, self._out
+    def extract_paths(self) -> list:
+        """The flow as vertex-disjoint vertex paths, in the source's successor order."""
+        pred, nxt = self._pred, self._next
+        src, sink = self._source >> 1, self._sink >> 1
         paths = []
-        src = (self._source - 1) // 2
-        for _ in range(count):
-            path = [src]
-            cur = self._source
-            while cur != self._sink:
-                # from an exit copy along a used edge to an entry copy, then
-                # across that vertex's split arc to its exit copy
-                for e in out[cur >> 1]:
-                    if e % 2 == 0 and used[e // 2] > 0:
-                        used[e // 2] -= 1
-                        cur = to[e]
-                        break
-                else:  # pragma: no cover - flow conservation rules this out
-                    raise AssertionError("flow decomposition dead-ended")
-                if cur != self._sink:
-                    used[cur >> 1] -= 1
-                    path.append(cur >> 1)
-                    cur += 1
-            path.append(self._sink // 2)
-            paths.append(path)
+        for w in dict.fromkeys(self._succ[src]):  # a repeated successor starts one path
+            if pred[w] == src:
+                path = [src, w]
+                while w != sink:
+                    w = nxt[w]
+                    path.append(w)
+                paths.append(path)
         return paths
 
 
@@ -294,7 +263,7 @@ def max_disjoint_paths(graph: Digraph, source, sink) -> SeparatorResult:
     value = net.max_flow(s)
     names = graph.names
     witness = frozenset(names[v] for v in net.source_side_cut())
-    paths = tuple(tuple(names[v] for v in p) for p in net.extract_paths(value))
+    paths = tuple(tuple(names[v] for v in p) for p in net.extract_paths())
     assert len(witness) == value
     return SeparatorResult(size=value, witness=witness, disjoint_paths=paths)
 
@@ -328,7 +297,7 @@ def max_linking(sys: StructuredSystem) -> LinkingResult:
     inputs = [(v,) for v in sys.scenario._target_vertices(n)]
     net, value = _linking_flow(graph.succ[:n], m, inputs)
     names = graph.names + tuple(map(attack_input_id, range(1, p_in + 1)))
-    paths = tuple(tuple(names[v] for v in p[1:-1]) for p in net.extract_paths(value))
+    paths = tuple(tuple(names[v] for v in p[1:-1]) for p in net.extract_paths())
     return LinkingResult(size=value, paths=paths)
 
 

@@ -20,7 +20,7 @@ from stealthguard import (
     topology_graph,
 )
 from stealthguard.separators import _VertexFlowNet
-from stealthguard.topology import OBSERVER_SINK
+from stealthguard.topology import OBSERVER_SINK, Digraph
 
 from oracles import (
     brute_max_linking,
@@ -83,6 +83,14 @@ def test_two_disjoint_routes():
     assert res.size == 2
     assert res.witness == frozenset({"p", "q"})
     assert sorted(res.disjoint_paths) == [("s", "p", "t"), ("s", "q", "t")]
+
+
+def test_repeated_edge_at_the_source_gives_one_path():
+    # a Digraph keeps its successor lists as given, repeats included
+    g = digraph(["s", "p", "t"], [("s", "p"), ("s", "p"), ("p", "t")])
+    res = max_disjoint_paths(g, "s", "t")
+    assert res.size == 1
+    assert res.disjoint_paths == (("s", "p", "t"),)
 
 
 def test_matches_brute_force_on_random_digraphs():
@@ -374,10 +382,74 @@ def test_second_path_cancels_flow_through_a_saturated_entry_copy():
     # from 2, cancels the unit on edge 1->3 and leaves 1 toward 4 instead
     net = _VertexFlowNet([[1, 2], [3, 4], [3], [5], [5], []], 5)
     assert net.max_flow(0, cutoff=1) == 1
-    assert net.extract_paths(1) == [[0, 1, 3, 5]]
+    assert net.extract_paths() == [[0, 1, 3, 5]]
     assert net.max_flow(0) == 2
-    assert net.extract_paths(2) == [[0, 1, 4, 5], [0, 2, 3, 5]]
+    assert net.extract_paths() == [[0, 1, 4, 5], [0, 2, 3, 5]]
     assert net.source_side_cut() == [1, 2]
+
+
+def test_path_that_crosses_a_split_arc_backward_frees_the_vertex():
+    # a later augmenting path reroutes around a vertex that carried a unit;
+    # if that vertex stayed marked as carrying, the cut would read [1, 9, 31]
+    succ = [(7,), (8, 11, 23, 28), (1, 28), (1, 7), (7, 14, 20, 31), (15,), (2, 8, 27, 29),
+            (11,), (17, 25), (26,), (11,), (11, 13, 19, 23), (23, 25, 32), (12,),
+            (1, 5, 27, 31), (17, 29, 32), (8, 9, 13), (0, 11, 12), (0, 7, 10, 31), (3, 9, 12),
+            (12, 22, 26, 33), (2,), (12, 19, 23), (9,), (4, 7), (5, 14, 29), (17, 23, 28, 33),
+            (16, 22), (12, 22, 29, 32), (10, 12, 21), (8, 27, 28, 31), (0, 17, 21, 24), (13,),
+            ()]
+    net = _VertexFlowNet(succ, 33)
+    assert net.max_flow(25) == 2
+    assert net.extract_paths() == [[25, 14, 31, 24, 4, 20, 33], [25, 29, 12, 23, 9, 26, 33]]
+    assert net.source_side_cut() == [9, 14]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(15, 40), edge_prob=st.floats(0.03, 0.25),
+       seed=st.integers(0, 2**32 - 1))
+def test_flow_net_matches_networkx_on_successor_lists(n, edge_prob, seed):
+    """One network, reused for every source not adjacent to the sink in a
+    shuffled order, with random cutoffs: the value is the networkx local
+    vertex connectivity capped at the cutoff, an uncut run's source side
+    is a separator of that size, and the paths are disjoint edge walks."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    from networkx.algorithms.flow import build_residual_network
+
+    rng = np.random.default_rng(seed)
+    # self-loops included, successors in random order
+    succ = [tuple(int(w) for w in rng.permutation(n) if rng.random() < edge_prob)
+            for _ in range(n)]
+    sink = int(rng.integers(n))
+    h = nx.DiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, w) for u in range(n) for w in succ[u] if u != w)
+    aux = build_auxiliary_node_connectivity(h)
+    residual = build_residual_network(aux, "capacity")
+    graph = Digraph(tuple(range(n)), tuple(succ))  # vertex numbers as names
+    net = _VertexFlowNet(succ, sink)
+    sources = [s for s in range(n) if s != sink and sink not in succ[s]]
+    for s in rng.permutation(sources).tolist():
+        cutoff = [None, 0, 1, 2, 3][int(rng.integers(5))]
+        value = net.max_flow(s, cutoff=cutoff)
+        expect = local_node_connectivity(h, s, sink, auxiliary=aux, residual=residual)
+        assert value == (expect if cutoff is None else min(expect, cutoff))
+        if cutoff is not None and value == cutoff:
+            with pytest.raises(RuntimeError):
+                net.source_side_cut()
+        else:
+            cut = net.source_side_cut()
+            assert len(cut) == value and s not in cut and sink not in cut
+            assert separates(graph, s, sink, set(cut))
+        paths = net.extract_paths()
+        assert len(paths) == value
+        inner = [v for path in paths for v in path[1:-1]]
+        assert len(inner) == len(set(inner)) and s not in inner and sink not in inner
+        for path in paths:
+            assert path[0] == s and path[-1] == sink
+            assert all(b in succ[a] for a, b in zip(path, path[1:]))
 
 
 def test_certify_monotone_under_edge_addition():
