@@ -19,10 +19,10 @@ By Menger's argument no set of fewer than p vertices can cut such an
 agent off from the sensors: it misses one whole path, and an agent at
 that path's end, proved before, cannot be cut off by so small a set
 either. ``_check_fans``
-checks the fans in time linear in their size, from the topology's edge
-set and observer assignment alone, so synthesis builds no graph and runs
-no max flow; ``certify_robustness`` stays an independent check of every
-design.
+checks the fans in time linear in their size, from the topology's
+receiver tuples and observer assignment alone, so synthesis builds no
+graph and runs no max flow; ``certify_robustness`` stays an independent
+check of every design.
 """
 
 from __future__ import annotations
@@ -104,10 +104,12 @@ def _check_fans(topology: DcsTopology, p: int, observers_attackable: bool, fans)
     along edges of that graph. No vertex but the sink appears twice in a
     fan, and each path ends at the sink or at an agent proved by an
     earlier fan. Every agent of the class (all of them in class xy, the
-    unobserved ones in class x) must be proved. Reads only ``agent_edges``
-    and ``observer_assignment``, in time linear in the size of the fans.
+    unobserved ones in class x) must be proved. Reads only the topology's
+    receiver tuples and ``observer_assignment``, in time linear in the size
+    of the fans: a step between agents scans the sender's receiver tuple,
+    which holds at most p + 1 agents in every construction here.
     """
-    n, edges = topology.n, topology.agent_edges
+    n, receivers = topology.n, topology._receivers
     sink = n + topology.m if observers_attackable else n
     # where an observed agent's sensor step leads: its observer, or the sink
     sensor_of = {j - 1: n + k - 1 if observers_attackable else sink
@@ -115,7 +117,7 @@ def _check_fans(topology: DcsTopology, p: int, observers_attackable: bool, fans)
 
     def is_edge(u, v):
         if 0 <= u < n:
-            return v == sensor_of.get(u) if v >= n else (u + 1, v + 1) in edges
+            return v == sensor_of.get(u) if v >= n else v in receivers[u]
         return n <= u < sink and v == sink  # an observer's one edge, class xy only
 
     proved = set()

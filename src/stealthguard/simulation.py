@@ -467,9 +467,12 @@ def realize(sys: StructuredSystem, seed: int = 0,
     if n == 0:
         raise ValueError("a realization needs at least one agent, got n=0")
     rng = np.random.default_rng(seed)
-    # couplings are drawn in row-major order: by receiver, then sender
-    rows, cols = zip(*sorted((b - 1, a - 1) for a, b in top.agent_edges))
+    receivers = top._receivers
     A = np.zeros((n, n))
+    # each link (sender a, receiver b) marks row b, column a; the couplings
+    # are then drawn in row-major order: by receiver, then sender
+    A[[b for bs in receivers for b in bs], np.repeat(np.arange(n), list(map(len, receivers)))] = 1
+    rows, cols = np.nonzero(A)
     A[rows, cols] = rng.uniform(0.1, 1.0, len(rows)) * rng.choice((-1.0, 1.0), len(rows))
     A *= spectral_radius_target / spectral_radius(A)
     C = np.zeros((m, n))

@@ -12,11 +12,18 @@ graph get "u1", "u2", ...; the separator reduction adds the sink id "o".
 All containers here are immutable or treated as read-only once built, so
 values can be shared freely across threads.
 
+A ``DcsTopology`` stores its links once, as per-agent receiver tuples:
+entry v holds the 0-based receivers of agent x(v+1), ascending, its
+self-loop included. The public ``agent_edges`` frozenset is a view built
+from them on its first read, and nothing in the package reads it.
+
 The graph layer has one graph type, the immutable ``Digraph``: a tuple of
 id strings ``names`` and, per vertex, a tuple ``succ[v]`` of its
 successors as vertex numbers. A topology's communication digraph is built
-the first time it is needed and cached on the immutable ``DcsTopology``:
-vertex v < n is agent x(v+1) and vertex n+k-1 is observer yk.
+from the receiver tuples the first time it is needed and cached on the
+immutable ``DcsTopology``: vertex v < n is agent x(v+1) and vertex n+k-1
+is observer yk. An agent that no observer reads shares its receiver
+tuple with the graph.
 ``topology_graph`` returns that graph itself, ``build_separator_graph``
 derives the sink graph from it, and the flow networks of
 :mod:`stealthguard.separators` are built from ``succ``. Ids are read from
@@ -29,8 +36,8 @@ strings.
 This module, like the rest of the graph layer, needs only the standard
 library. A topology and an attack set fix the zero pattern of the state,
 output and attack matrices: :func:`stealthguard.simulation.realize` places
-their entries straight from ``agent_edges``, ``observer_assignment`` and
-the attack set.
+their entries straight from the receiver tuples, ``observer_assignment``
+and the attack set.
 
 Reading a topology file goes the other way: ``parse_topology`` turns each
 distinct id string into its index once per call, and nothing downstream
@@ -200,11 +207,18 @@ class Digraph(_Record):
 class DcsTopology(_Record):
     """Communication topology: n agents, m dedicated observers, agent edges.
 
-    ``agent_edges`` holds (sender, receiver) index pairs, 1-based, and must
-    contain (i, i) for every agent. ``observer_assignment`` maps observer
-    index k to the agent it reads; it must cover 1..m and be injective.
-    Construction keeps a frozenset of int pairs and a dict of ints, and
-    refuses anything else with a ValueError.
+    ``agent_edges`` is given as (sender, receiver) index pairs, 1-based, and
+    must contain (i, i) for every agent. ``observer_assignment`` maps
+    observer index k to the agent it reads; it must cover 1..m and be
+    injective. Construction accepts any iterable of integer pairs, repeats
+    collapsing, keeps the assignment as a dict of ints, and refuses anything
+    else with a ValueError.
+
+    The links are stored once, as ``_receivers``: per agent, 0-based, the
+    tuple of its receivers ascending, its self-loop included. Equality
+    (of n, m, these tuples and the assignment), ``link_count``, the
+    writers, the cached graph and ``realize`` read them. ``agent_edges`` is
+    a view, the frozenset of 1-based pairs, built on its first read.
     """
 
     __match_args__ = ("n", "m", "agent_edges", "observer_assignment")
@@ -214,18 +228,18 @@ class DcsTopology(_Record):
         m = _whole_number(m, "observer count m")
         index = operator.index
         try:
-            agent_edges = frozenset((index(a), index(b)) for a, b in agent_edges)
+            pairs = frozenset((index(a), index(b)) for a, b in agent_edges)
             observer_assignment = {index(k): index(v)
                                    for k, v in dict(observer_assignment).items()}
         except TypeError:
             raise ValueError("every edge endpoint and observer index must be an integer") from None
         if n < 0 or m < 0 or m > n:
             raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
-        for (a, b) in agent_edges:
+        for (a, b) in pairs:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
         for i in range(1, n + 1):
-            if (i, i) not in agent_edges:
+            if (i, i) not in pairs:
                 raise ValueError(f"agent x{i} is missing its self-loop")
         if set(observer_assignment) != set(range(1, m + 1)):
             raise ValueError("observer assignment must cover exactly y1..ym")
@@ -235,15 +249,33 @@ class DcsTopology(_Record):
                 raise ValueError(f"observer target x{j} out of range")
         if len(set(targets)) != len(targets):
             raise ValueError("observers must be dedicated: one agent per sensor")
+        # vertex[i] is agent xi's 0-based number: one int for every tuple that names it
+        vertex = list(range(-1, n))
+        receivers = [[] for _ in vertex]
+        for a, b in pairs:
+            receivers[a].append(vertex[b])
         _set(self, "n", n)
         _set(self, "m", m)
-        _set(self, "agent_edges", agent_edges)
+        _set(self, "_receivers", tuple(map(tuple, map(sorted, receivers[1:]))))
         _set(self, "observer_assignment", observer_assignment)
+
+    @cached_property
+    def agent_edges(self) -> frozenset:
+        """The (sender, receiver) pairs, 1-based, built on the first read."""
+        return frozenset((a, b + 1) for a, bs in enumerate(self._receivers, 1) for b in bs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.m, self._receivers, self.observer_assignment)
+                    == (other.n, other.m, other._receivers, other.observer_assignment))
+        return NotImplemented
+
+    __hash__ = None  # the observer assignment is a dict
 
     @property
     def link_count(self) -> int:
         """Number of agent-to-agent links, self-loops included."""
-        return len(self.agent_edges)
+        return sum(map(len, self._receivers))
 
     @property
     def observed_agents(self) -> frozenset:
@@ -256,17 +288,15 @@ class DcsTopology(_Record):
     @cached_property
     def _core(self) -> Digraph:
         """The communication digraph. An agent's successors are its
-        receivers ascending, its self-loop included, then the observer that
-        reads it, if any; observers have none."""
+        receivers, then the observer that reads it, if any; observers have
+        none. An agent without an observer shares its receiver tuple."""
         n, m = self.n, self.m
-        succ = [[] for _ in range(n)]
-        for a, b in sorted(self.agent_edges):
-            succ[a - 1].append(b - 1)
+        succ = list(self._receivers)
         for k, j in self.observer_assignment.items():
-            succ[j - 1].append(n + k - 1)  # at most one observer per agent
+            succ[j - 1] += (n + k - 1,)  # at most one observer per agent
         names = (tuple(map(agent_id, range(1, n + 1)))
                  + tuple(map(observer_id, range(1, m + 1))))
-        return Digraph(names, tuple(map(tuple, succ)) + ((),) * m)
+        return Digraph(names, tuple(succ) + ((),) * m)
 
 
 class AttackScenario(_Record):
@@ -376,7 +406,8 @@ def parse_topology(text: str):
     A leading byte-order mark is dropped.
     """
     text = text.removeprefix("\ufeff")
-    reader = _json_records if text.lstrip()[:1] == "{" else _text_records
+    # a text header never starts with "[", so a JSON array gets the JSON reader's message
+    reader = _json_records if text.lstrip()[:1] in ("{", "[") else _text_records
     (n, m, p), records = reader(text)
     agents = _IdTable(parse_agent_id)
     observers = _IdTable(parse_observer_id)
@@ -457,6 +488,8 @@ def _json_records(text: str):
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise TopologyFormatError(f"bad JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise TopologyFormatError("JSON topology must be an object")
     for key in ("n", "m", "p", "edges", "sensors"):
         if key not in doc:
             raise TopologyFormatError(f"JSON topology is missing key {key!r}")
@@ -479,11 +512,24 @@ def _json_records(text: str):
     return (doc["n"], doc["m"], doc["p"]), records
 
 
+def _budget(p) -> int:
+    """The attack budget as a plain int, or the ValueError the readers
+    would give: a file must carry a whole number, at least 0."""
+    p = _whole_number(p, "attack budget p")
+    if p < 0:
+        raise ValueError("attack budget p must be nonnegative")
+    return p
+
+
 def format_topology(topology: DcsTopology, p: int) -> str:
-    """Canonical text form; parse(format(t)) reproduces t exactly."""
-    lines = [f"{topology.n} {topology.m} {p}"]
-    for (a, b) in sorted(topology.agent_edges):
-        lines.append(f"edge x{a} x{b}")
+    """Canonical text form; parse(format(t)) reproduces t exactly.
+
+    Both writers write p as a plain int and refuse, with a ValueError, a
+    budget that ``parse_topology`` would refuse: one that is not a whole
+    number, or is negative.
+    """
+    lines = [f"{topology.n} {topology.m} {_budget(p)}"]
+    lines += [f"edge x{a} x{b + 1}" for a, bs in enumerate(topology._receivers, 1) for b in bs]
     for k in sorted(topology.observer_assignment):
         lines.append(f"sensor y{k} x{topology.observer_assignment[k]}")
     return "\n".join(lines) + "\n"
@@ -502,12 +548,13 @@ def topology_to_json(topology: DcsTopology, p: int) -> str:
         body = ",\n".join(f'    [\n      "{a}",\n      "{b}"\n    ]' for a, b in items)
         return f"[\n{body}\n  ]"
 
-    edges = [(agent_id(a), agent_id(b)) for (a, b) in sorted(topology.agent_edges)]
+    p = _budget(p)
+    edges = [(agent_id(a), agent_id(b + 1))
+             for a, bs in enumerate(topology._receivers, 1) for b in bs]
     sensors = [(observer_id(k), agent_id(topology.observer_assignment[k]))
                for k in sorted(topology.observer_assignment)]
-    return (f'{{\n  "edges": {pairs(edges)},\n  "m": {json.dumps(topology.m)},\n'
-            f'  "n": {json.dumps(topology.n)},\n  "p": {json.dumps(p)},\n'
-            f'  "sensors": {pairs(sensors)}\n}}\n')
+    return (f'{{\n  "edges": {pairs(edges)},\n  "m": {topology.m},\n'
+            f'  "n": {topology.n},\n  "p": {p},\n  "sensors": {pairs(sensors)}\n}}\n')
 
 
 def load_topology(path):
@@ -516,5 +563,6 @@ def load_topology(path):
 
 
 def save_topology(path, topology: DcsTopology, p: int) -> None:
+    text = format_topology(topology, p)  # a refused budget leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_topology(topology, p))
+        fh.write(text)

@@ -406,6 +406,14 @@ def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_a_json_array_topology_gets_the_json_message(tmp_path, capsys):
+    # a text header never starts with "[", so the JSON reader answers
+    code, out, err = run(capsys, *certify_text(tmp_path, "[1, 2]"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON topology must be an object\n"
+
+
 @pytest.mark.parametrize("command, failing, error", [
     ("simulate", "realize", "FilterConvergenceError"),
     ("attack", "find_perfect_attack", "NullspaceAmbiguityError"),

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,23 @@ def test_synthesis_builds_no_graph_and_runs_no_flow(monkeypatch):
                     synthesize_platoon(30, 4, 3, flag)):
             assert res.certified
             assert "_core" not in res.topology.__dict__
+            assert "agent_edges" not in res.topology.__dict__
+
+
+def test_a_synthesized_design_keeps_its_links_compactly():
+    # each link is one slot in its sender's receiver tuple: about 21 bytes
+    # a link here, where a frozenset of pairs took about 110
+    synthesize(SynthesisSpec(50, 5, 5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = synthesize(SynthesisSpec(2000, 5, 5))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.link_count == 11995
+    assert kept / res.link_count < 40
 
 
 def test_flow_certifies_every_small_construction():

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -139,7 +142,7 @@ def test_certification_leaves_no_state_on_the_topology():
     t = DcsTopology(t.n, t.m, t.agent_edges, t.observer_assignment)
     for flag in (True, False):
         certify_robustness(t, 2, observers_attackable=flag)
-    assert set(vars(t)) == {"n", "m", "agent_edges", "observer_assignment", "_core"}
+    assert set(vars(t)) == {"n", "m", "_receivers", "observer_assignment", "_core"}
     assert set(vars(t._core)) == {"names", "succ"}
 
 
@@ -185,6 +188,10 @@ def test_patterns_shapes_and_round_trip():
     assert np.count_nonzero(real.C) == t.m
     # receiver indexes the row: edge (1, 2) lands in row 2, column 1
     assert real.A[1, 0] != 0 and real.A[0, 1] == 0
+    rng = np.random.default_rng(35)
+    for t in [random_topology(rng, n_max=12) for _ in range(10)]:
+        real = realize(StructuredSystem(t, empty), seed=3)
+        assert {(j + 1, i + 1) for i, j in zip(*np.nonzero(real.A))} == t.agent_edges
 
 
 def test_attack_patterns_add_input_columns():
@@ -475,3 +482,124 @@ def test_graph_layer_counts_and_indices_must_be_integers(case):
     with pytest.raises(ValueError, match="must be an integer"):
         build(bad)
     build(np.int64(whole))
+
+
+# ---- the stored form: per-agent receiver tuples, agent_edges a view ----
+
+def random_pairs(rng, n):
+    """Every self-loop plus random links, with repeats, in random order."""
+    pairs = [(i, i) for i in range(1, n + 1)]
+    pairs += [tuple(int(v) for v in rng.integers(1, n + 1, 2)) for _ in range(3 * n)]
+    pairs += pairs[:n // 2]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def test_agent_edges_is_the_set_of_input_pairs():
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        pairs = random_pairs(rng, n)
+        given = [(np.int64(a), np.int32(b)) for a, b in pairs] if rng.random() < 0.5 else pairs
+        t = DcsTopology(n, 0, given, {})
+        assert "agent_edges" not in vars(t)
+        assert type(t.agent_edges) is frozenset and t.agent_edges == set(pairs)
+        assert all(type(i) is int for pair in t.agent_edges for i in pair)
+        assert t.agent_edges is t.agent_edges
+        assert t.link_count == len(set(pairs))
+        assert t._receivers == tuple(tuple(sorted({b - 1 for a, b in pairs if a == v}))
+                                     for v in range(1, n + 1))
+
+
+def test_agent_edges_cannot_be_assigned_or_deleted():
+    t = ring(4)
+    ring_edges = {(i, i) for i in range(1, 5)} | {(i, i % 4 + 1) for i in range(1, 5)}
+    for _ in range(2):  # before and after the view is built
+        with pytest.raises(AttributeError):
+            t.agent_edges = frozenset()
+        with pytest.raises(AttributeError):
+            del t.agent_edges
+        assert t.agent_edges == ring_edges
+
+
+def test_equality_ignores_link_order_and_container():
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        n = int(rng.integers(2, 15))
+        pairs = random_pairs(rng, n)
+        t = DcsTopology(n, 1, pairs, {1: n})
+        for same in (sorted(pairs), pairs[::-1], set(pairs), frozenset(pairs),
+                     dict.fromkeys(pairs), iter(pairs), np.array(pairs)):
+            assert DcsTopology(n, 1, same, [(1, n)]) == t
+        links = sorted(set(pairs) - {(i, i) for i in range(1, n + 1)})
+        missing = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                   if (a, b) not in t.agent_edges]
+        if links:
+            assert DcsTopology(n, 1, set(pairs) - {links[0]}, {1: n}) != t
+        if missing:
+            assert DcsTopology(n, 1, pairs + missing[:1], {1: n}) != t
+        assert DcsTopology(n, 1, pairs, {1: 1}) != t
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(t)
+
+
+def test_pickle_and_copy_keep_the_stored_form():
+    t = synthesize_platoon(30, 3, 2, True).topology
+    twins = [pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)]
+    for twin in twins:
+        assert twin == t and twin._receivers == t._receivers
+        assert twin.agent_edges == t.agent_edges
+        assert format_topology(twin, 2) == format_topology(t, 2)
+
+
+def test_the_package_never_builds_agent_edges():
+    tops = [synthesize(SynthesisSpec(40, 4, 3)).topology,
+            synthesize_platoon(40, 3, 2, True).topology]
+    text = format_topology(tops[0], 3)
+    tops += [parse_topology(text)[0], parse_topology(topology_to_json(tops[1], 2))[0]]
+    for t in tops:
+        for flag in (True, False):
+            certify_robustness(t, 2, observers_attackable=flag)
+        format_topology(t, 2)
+        topology_to_json(t, 2)
+        build_separator_graph(t, collapse_observers=True)
+        realize(StructuredSystem(t, AttackScenario({1, 2}, {1}, 3)), seed=1)
+        assert "agent_edges" not in vars(t)
+
+
+@pytest.mark.parametrize("writer", [format_topology, topology_to_json])
+@pytest.mark.parametrize("p", [-1, 1.5, "2", None])
+def test_writers_refuse_a_budget_the_reader_refuses(writer, p):
+    with pytest.raises(ValueError, match="attack budget p"):
+        writer(ring(3), p)
+
+
+@pytest.mark.parametrize("writer", [format_topology, topology_to_json])
+def test_writers_write_a_whole_budget_as_a_plain_int(writer):
+    t = ring(4, m=2)
+    for p, whole in ((np.int64(2), 2), (np.int8(0), 0), (True, 1)):
+        back, q = parse_topology(writer(t, p))
+        assert back == t and q == whole and type(q) is int
+
+
+def test_a_refused_budget_leaves_the_saved_file(tmp_path):
+    t = ring(4, m=2)
+    path = tmp_path / "t.txt"
+    save_topology(path, t, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        save_topology(path, t, -1)
+    assert load_topology(path) == (t, 3)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "  [\n]", '[{"n": 1}]'])
+def test_a_json_array_gets_the_json_readers_message(text):
+    with pytest.raises(TopologyFormatError, match="^JSON topology must be an object$"):
+        parse_topology(text)
+
+
+def test_a_huge_header_is_refused_before_any_per_agent_storage():
+    start = time.perf_counter()
+    with pytest.raises(TopologyFormatError, match="^agent x2 is missing its self-loop$"):
+        parse_topology("10000000 0 0\nedge x1 x1\n")
+    with pytest.raises(ValueError, match="^agent x2 is missing its self-loop$"):
+        DcsTopology(10**7, 0, [(1, 1)], {})
+    assert time.perf_counter() - start < 0.5
