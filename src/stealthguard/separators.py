@@ -32,11 +32,15 @@ expands an entry copy in O(1) instead of scanning the in-edges of a sensor
 hub. An exit copy's residual arcs are the reverse of its split arc while
 the vertex carries a unit, and then its edges, which never saturate and
 so need no capacities. Clearing the flow resets the two arrays, O(|V|).
+
+Only exit copies are queued. The search marks an entry copy and follows
+its one arc at once. Every exit copy but the source's has exactly one
+residual in-arc, from one entry copy, so a search that queued both copies
+would reach and expand the exit copies in the same order: every
+augmenting path, flow, cut and path family is the one that search finds.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .topology import (
     AttackScenario,
@@ -153,6 +157,11 @@ class _VertexFlowNet:
     entry copy of every successor. A self-loop leads an exit copy to an
     entry copy that is already marked, or at the source to one that leads
     only back to the source.
+
+    The search queues exit copies only: reaching an unmarked entry copy, it
+    marks it and its arc's exit copy together. That exit copy's one residual
+    in-arc is the arc just followed, so it is queued where a queue of both
+    copies would have put it, and the search finds the same paths.
     """
 
     def __init__(self, succ, sink: int):
@@ -163,46 +172,49 @@ class _VertexFlowNet:
 
     def _augment(self) -> bool:
         """Push one unit along a shortest residual path, if there is one."""
-        succ, pred, nxt, sink = self._succ, self._pred, self._next, self._sink
+        succ, pred, nxt, sink, source = self._succ, self._pred, self._next, self._sink, self._source
         self._parent = parent = [-1] * (2 * self._nv)
-        parent[self._source] = -2
-        queue = deque([self._source])
-        while queue and parent[sink] == -1:
-            u = queue.popleft()
+        parent[source] = -2
+        queue = [source]
+        for u in queue:  # the list grows while it is read
             x = u >> 1
-            if u & 1:
-                if pred[x] != -1 and parent[u - 1] == -1:
-                    parent[u - 1] = u
-                    queue.append(u - 1)
-                for w in succ[x]:
-                    v = 2 * w
-                    if parent[v] == -1:
-                        parent[v] = u
-                        if v == sink:
-                            break
-                        queue.append(v)
-            else:  # entry copy: its one usable arc leads to an exit copy, never the sink
-                v = u + 1 if pred[x] == -1 else 2 * pred[x] + 1
+            if pred[x] != -1 and parent[u - 1] == -1:
+                # back across x's split arc; entry copy 2x then leads back to pred[x]
+                parent[u - 1] = u
+                f = 2 * pred[x] + 1
+                if parent[f] == -1:
+                    parent[f] = u - 1
+                    queue.append(f)
+            for w in succ[x]:
+                v = 2 * w
                 if parent[v] == -1:
                     parent[v] = u
-                    queue.append(v)
-        if parent[sink] == -1:
+                    if v == sink:
+                        break
+                    f = v + 1 if pred[w] == -1 else 2 * pred[w] + 1
+                    if parent[f] == -1:
+                        parent[f] = v
+                        queue.append(f)
+            if parent[sink] != -1:
+                break
+        else:
             return False
-        # only exit-to-entry steps change the arrays: a forward edge passes
-        # the unit on, and a step back across u's split arc frees u. Crossing
-        # an edge backward needs no record, as the path's next step rewrites
-        # the tail vertex.
+        # walk back one exit-to-entry step at a time: a forward edge passes
+        # the unit on, and a step back across a split arc frees its vertex.
+        # Crossing an edge backward needs no record, as the path's next step
+        # rewrites the tail vertex.
         v = sink
-        while v != self._source:
+        while True:
             u = parent[v]
-            if u & 1 and not v & 1:
-                if u == v + 1:
-                    pred[v >> 1] = nxt[v >> 1] = -1
-                else:
-                    nxt[u >> 1] = v >> 1
-                    pred[v >> 1] = u >> 1
-            v = u
-        return True
+            x, y = u >> 1, v >> 1
+            if x == y:
+                pred[y] = nxt[y] = -1
+            else:
+                nxt[x] = y
+                pred[y] = x
+            if u == source:
+                return True
+            v = parent[u]
 
     def max_flow(self, source: int, cutoff=None) -> int:
         """Flow value from vertex ``source`` to the sink, stopping at ``cutoff``.

@@ -264,6 +264,12 @@ class DcsTopology(_Record):
         """The (sender, receiver) pairs, 1-based, built on the first read."""
         return frozenset((a, b + 1) for a, bs in enumerate(self._receivers, 1) for b in bs)
 
+    def __repr__(self):
+        # the record's text, from a view made for this call and not cached
+        edges = DcsTopology.agent_edges.func(self)
+        return (f"{type(self).__qualname__}(n={self.n!r}, m={self.m!r}, agent_edges={edges!r}, "
+                f"observer_assignment={self.observer_assignment!r})")
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return ((self.n, self.m, self._receivers, self.observer_assignment)
@@ -451,8 +457,15 @@ class _IdTable(dict):
 
 
 def _text_records(text: str):
-    """The header line's (n, m, p) and the records of the lines after it."""
-    lines = enumerate(text.splitlines(), start=1)
+    """The header line's (n, m, p) and the records of the lines after it.
+
+    Lines end at "\\n", "\\r\\n" or "\\r", the line ends ``open()`` translates.
+    Form feed, U+2028 and the other separators ``str.splitlines`` breaks at
+    stay inside their line, so a comment holding one still ends at the line's end.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = enumerate(text.split("\n"), start=1)
     for lineno, raw in lines:
         fields = raw.split("#", 1)[0].split()
         if fields:

@@ -1,15 +1,16 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here trades speed for obvious correctness: exhaustive subset
-removal for separators, exhaustive path-family search for linkings,
-exhaustive attack-set enumeration for robustness verdicts, graphs
-built one edge at a time as plain string adjacency, the attack-to-output
-transfer matrix evaluated in floating point, the filter's Riccati
-recursion stepped one step at a time, plant and filter stepped together
-one step at a time, and the normal rank from a fixed number of exact
-draws.
+removal for separators, exhaustive path-family search for linkings, a
+flow search that queues every split-vertex copy, exhaustive attack-set
+enumeration for robustness verdicts, graphs built one edge at a time as
+plain string adjacency, the attack-to-output transfer matrix evaluated
+in floating point, the filter's Riccati recursion stepped one step at a
+time, plant and filter stepped together one step at a time, and the
+normal rank from a fixed number of exact draws.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +21,7 @@ from stealthguard import (
     StructuredSystem,
     is_structurally_left_invertible,
 )
+from stealthguard.separators import _VertexFlowNet
 from stealthguard.simulation import _pencil_rank
 from stealthguard.topology import OBSERVER_SINK, Digraph, agent_id, attack_input_id, \
     observer_id, parse_agent_id, parse_observer_id
@@ -54,6 +56,50 @@ def digraph(names, edges) -> Digraph:
     for a, b in edges:
         succ[index[a]].append(index[b])
     return Digraph(tuple(names), tuple(map(tuple, succ)))
+
+
+class CopyQueueFlowNet(_VertexFlowNet):
+    """The flow core with a plain breadth-first search over both split-vertex
+    copies: entry and exit copies are queued alike on a deque, and the path
+    update walks back one copy at a time."""
+
+    def _augment(self) -> bool:
+        succ, pred, nxt, sink = self._succ, self._pred, self._next, self._sink
+        self._parent = parent = [-1] * (2 * self._nv)
+        parent[self._source] = -2
+        queue = deque([self._source])
+        while queue and parent[sink] == -1:
+            u = queue.popleft()
+            x = u >> 1
+            if u & 1:
+                if pred[x] != -1 and parent[u - 1] == -1:
+                    parent[u - 1] = u
+                    queue.append(u - 1)
+                for w in succ[x]:
+                    v = 2 * w
+                    if parent[v] == -1:
+                        parent[v] = u
+                        if v == sink:
+                            break
+                        queue.append(v)
+            else:  # entry copy: its one usable arc leads to an exit copy, never the sink
+                v = u + 1 if pred[x] == -1 else 2 * pred[x] + 1
+                if parent[v] == -1:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[sink] == -1:
+            return False
+        v = sink
+        while v != self._source:
+            u = parent[v]
+            if u & 1 and not v & 1:
+                if u == v + 1:
+                    pred[v >> 1] = nxt[v >> 1] = -1
+                else:
+                    nxt[u >> 1] = v >> 1
+                    pred[v >> 1] = u >> 1
+            v = u
+        return True
 
 
 def reachable(graph, start, blocked=frozenset()):

@@ -432,3 +432,14 @@ def test_numeric_errors_exit_two_with_a_message(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err == "error: injected failure\n"
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_a_comment_holding_a_line_separator_is_accepted(tmp_path, capsys, sep):
+    # str.splitlines would end the comment there and read "follower" as a record
+    path = tmp_path / "top.txt"
+    path.write_text(f"2 1 1\n# lead{sep}follower\nedge x1 x1\nedge x2 x2\nedge x1 x2\n"
+                    "sensor y1 x2\n", encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--topology", str(path))
+    assert (code, err) == (0, "")
+    assert "robust" in out

@@ -19,10 +19,11 @@ from stealthguard import (
     synthesize_platoon,
     topology_graph,
 )
-from stealthguard.separators import _VertexFlowNet
+from stealthguard.separators import _linking_flow, _VertexFlowNet
 from stealthguard.topology import OBSERVER_SINK, Digraph
 
 from oracles import (
+    CopyQueueFlowNet,
     brute_max_linking,
     brute_min_separator,
     brute_robust,
@@ -450,6 +451,67 @@ def test_flow_net_matches_networkx_on_successor_lists(n, edge_prob, seed):
         for path in paths:
             assert path[0] == s and path[-1] == sink
             assert all(b in succ[a] for a, b in zip(path, path[1:]))
+
+
+def check_search_against_copy_queue(succ, sink, runs):
+    """Drive the library's search and the reference search, which queues
+    both copies of a vertex, one augmentation at a time on one network per
+    side, for each (source, cutoff) of ``runs``: every augmentation leaves
+    the same flow arrays, the final failed search the same source side, and
+    the flows decompose into the same paths."""
+    net, ref = _VertexFlowNet(succ, sink), CopyQueueFlowNet(succ, sink)
+    for source, cutoff in runs:
+        net.max_flow(source, cutoff=0)
+        ref.max_flow(source, cutoff=0)
+        flow = 0
+        while cutoff is None or flow < cutoff:
+            found = net._augment()
+            assert found == ref._augment()
+            if not found:
+                assert net.source_side_cut() == ref.source_side_cut()
+                break
+            flow += 1
+            assert net._pred == ref._pred and net._next == ref._next
+        assert net.extract_paths() == ref.extract_paths()
+
+
+def random_successors(rng, n):
+    """Successor lists on n vertices with self-loops, repeated successors
+    and a few sensor hubs that most vertices feed."""
+    hubs = rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False)
+    succ = []
+    for v in range(n):
+        out = [int(w) for w in rng.integers(n, size=int(rng.integers(0, 5)))]  # repeats allowed
+        out += [int(h) for h in hubs if rng.random() < 0.6]
+        if rng.random() < 0.5:
+            out.append(v)
+        succ.append(tuple(int(w) for w in rng.permutation(out)))
+    return succ
+
+
+def test_search_matches_the_copy_queue_search():
+    rng = np.random.default_rng(34)
+    cutoffs = [None, 0, 1, 2, 3, 4, 5, 6]
+    networks = []
+    for _ in range(300):
+        succ = random_successors(rng, int(rng.integers(2, 31)))
+        networks.append((succ, int(rng.integers(len(succ)))))
+    for _ in range(100):
+        t = random_topology(rng, n_max=12, edge_prob=0.3)
+        succ = build_separator_graph(t, collapse_observers=bool(rng.integers(2))).succ
+        networks.append((succ, len(succ) - 1))
+    for succ, sink in networks:
+        sources = [s for s in rng.permutation(len(succ)).tolist()
+                   if s != sink and sink not in succ[s]]
+        check_search_against_copy_queue(
+            succ, sink, [(s, cutoffs[int(rng.integers(len(cutoffs)))]) for s in sources])
+    # linking networks: the super source, second to last, feeds the inputs
+    for _ in range(100):
+        t = random_topology(rng, n_max=12, edge_prob=0.3)
+        n = t.n
+        inputs = [(int(v),) for v in rng.choice(n + t.m, size=int(rng.integers(1, 5)))]
+        net, _value = _linking_flow(t._core.succ[:n], t.m, inputs)
+        check_search_against_copy_queue(net._succ, net._sink >> 1, [(len(net._succ) - 2, None)])
 
 
 def test_certify_monotone_under_edge_addition():

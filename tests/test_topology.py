@@ -27,7 +27,7 @@ from stealthguard import (
     topology_graph,
     topology_to_json,
 )
-from stealthguard.topology import OBSERVER_SINK, Digraph, agent_id, observer_id, \
+from stealthguard.topology import OBSERVER_SINK, Digraph, _Record, agent_id, observer_id, \
     parse_agent_id, parse_observer_id
 
 from oracles import random_topology, reachable, reference_separator_graph, \
@@ -276,6 +276,26 @@ def test_parse_errors_carry_line_numbers():
         parse_topology("{not json")
     with pytest.raises(TopologyFormatError):
         parse_topology(json.dumps({"n": 1, "m": 0, "p": 0}))
+
+
+# the separators str.splitlines breaks at besides the line ends open() translates
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+def test_a_comment_keeps_a_line_separator_to_its_line_end(sep):
+    t, p = parse_topology(f"3 0 0\n# note{sep}more\nedge x1 x1\nedge x2 x2\nedge x3 x3\n")
+    assert (t.n, t.m, p, t.link_count) == (3, 0, 0, 3)
+    # a later error names its physical line
+    with pytest.raises(TopologyFormatError, match=r"^line 4: unknown record 'wire'$"):
+        parse_topology(f"2 0 0\n# note{sep}more\nedge x1 x1\nwire x2 x2\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_lines_end_at_the_line_ends_open_translates(end):
+    text = end.join(["2 0 0", "# note", "edge x1 x1", "wire x2 x2", ""])
+    with pytest.raises(TopologyFormatError, match=r"^line 4: unknown record 'wire'$"):
+        parse_topology(text)
 
 
 PAIR_JSON = {"n": 2, "m": 1, "p": 1, "edges": [["x1", "x1"], ["x2", "x2"], ["x1", "x2"]],
@@ -564,6 +584,20 @@ def test_the_package_never_builds_agent_edges():
         build_separator_graph(t, collapse_observers=True)
         realize(StructuredSystem(t, AttackScenario({1, 2}, {1}, 3)), seed=1)
         assert "agent_edges" not in vars(t)
+
+
+def test_repr_builds_no_lasting_agent_edges_view():
+    result = synthesize(SynthesisSpec(12, 3, 2))
+    t = result.topology
+    system = StructuredSystem(t, AttackScenario({1}, {1}, 2))
+    twin = parse_topology(format_topology(t, 2))[0]
+    twin.agent_edges
+    text = _Record.__repr__(twin)  # the field-by-field text, from the cached view
+    assert text.startswith("DcsTopology(n=12, m=3, agent_edges=frozenset({")
+    for holder in (t, result, system):
+        assert text in repr(holder)
+        assert "agent_edges" not in vars(t)
+    assert repr(t) == text
 
 
 @pytest.mark.parametrize("writer", [format_topology, topology_to_json])
