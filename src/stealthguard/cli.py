@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
     system = _load_system(args)
     scenario = system.scenario
     linking = max_linking(system)
-    verdict = scenario.num_inputs == 0 or linking.size == scenario.num_inputs
+    verdict = linking.size == scenario.num_inputs
     doc = {
         "left_invertible": verdict,
         "attack_inputs": scenario.num_inputs,

@@ -34,20 +34,30 @@ from .separators import InfeasibilityError
 from .topology import DcsTopology, _Record, _set, _whole_number
 
 
+def _sizes(n, m, p) -> tuple:
+    """(n, m, p) as plain ints, or ValueError unless they are whole numbers
+    with n >= 1, 0 <= p <= n and 0 <= m <= n. The one design-size check:
+    ``SynthesisSpec``, ``min_links_value``, ``optimal_sensor_count`` (with
+    m = 0) and ``synthesize_platoon`` all make it."""
+    n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+    if p < 0 or p > n:
+        raise ValueError(f"attack budget must satisfy 0 <= p <= n, got p={p}")
+    if not (0 <= m <= n):
+        raise ValueError(f"need 0 <= m <= n, got m={m}")
+    return n, m, p
+
+
 class SynthesisSpec(_Record):
     """Design request: n agents, m sensors, attack budget p, attack class.
-    The sizes must be integers with 0 <= p <= n, 0 <= m <= n and n >= 1."""
+    The sizes must pass ``_sizes``: integers with 0 <= p <= n,
+    0 <= m <= n and n >= 1."""
 
     __match_args__ = ("n", "m", "p", "observers_attackable")
 
     def __init__(self, n: int, m: int, p: int, observers_attackable: bool = True):
-        n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
-        if n < 1:
-            raise ValueError(f"need at least one agent, got n={n}")
-        if p < 0 or p > n:
-            raise ValueError(f"attack budget must satisfy 0 <= p <= n, got p={p}")
-        if not (0 <= m <= n):
-            raise ValueError(f"need 0 <= m <= n, got m={m}")
+        n, m, p = _sizes(n, m, p)
         _set(self, "n", n)
         _set(self, "m", m)
         _set(self, "p", p)
@@ -74,11 +84,10 @@ def min_links_value(n: int, m: int, p: int, observers_attackable: bool = True) -
     Raises InfeasibilityError when m < p: with the full attack surface the
     sensors themselves can be overwhelmed, and in the agents-only class any
     unobserved agent (one exists whenever m < p <= n) is cut off from the
-    sensors by the observed set, which is smaller than p.
+    sensors by the observed set, which is smaller than p. Sizes that
+    ``SynthesisSpec`` would refuse are a ValueError with its message.
     """
-    n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
-    if n < 1 or not (0 <= m <= n) or not (0 <= p <= n):
-        raise ValueError(f"invalid sizes n={n} m={m} p={p}")
+    n, m, p = _sizes(n, m, p)
     if m < p:
         raise InfeasibilityError(f"no robust design exists with m={m} < p={p}")
     if not observers_attackable:
@@ -190,14 +199,12 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     range: every extra sensor saves one link on the full attack surface
     (and p links in the agents-only class). Exact ties go to the small end,
     m = p, as does p = 0, where the link count no longer depends on m.
-    Returns (m, total_cost); a cost that is not a real number, or a total
-    too large for a float, is a ValueError.
+    Returns (m, total_cost). Sizes are checked as ``SynthesisSpec``
+    checks them, with m = 0, so a refusal names n or p. A cost that is not
+    a real number, or a total too large for a float (a link count too
+    large to convert to one included), is a ValueError.
     """
-    n, p = _whole_number(n, "n"), _whole_number(p, "p")
-    if n < 1:
-        raise ValueError(f"need at least one agent, got n={n}")
-    if not (0 <= p <= n):
-        raise ValueError(f"need 0 <= p <= n, got n={n} p={p}")
+    n, _, p = _sizes(n, 0, p)
     if not all(isinstance(c, numbers.Real) for c in (cost_link, cost_sensor)):
         raise ValueError(f"unit costs must be real numbers, got {cost_link!r} and {cost_sensor!r}")
     if not all(c > 0 and math.isfinite(c) for c in (cost_link, cost_sensor)):
@@ -207,9 +214,15 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     elif observers_attackable:
         m_star = p if cost_sensor >= cost_link else n
     else:
-        m_star = p if cost_sensor >= cost_link * p else n
+        try:
+            m_star = p if cost_sensor >= cost_link * p else n
+        except OverflowError:  # p, and so every link count, is too large for a float
+            m_star = n
     links = min_links_value(n, m_star, p, observers_attackable)
-    total = cost_link * links + cost_sensor * m_star
+    try:
+        total = cost_link * links + cost_sensor * m_star
+    except OverflowError:  # a count too large to convert to a float
+        total = math.inf
     if not math.isfinite(total):
         raise ValueError(f"total cost of {links} links at {cost_link:g} and {m_star} sensors "
                          f"at {cost_sensor:g} overflows a float")
@@ -233,10 +246,11 @@ def synthesize_platoon(n: int, m: int, p: int,
     descending order, takes i -> i+k for k = 1..p: agent i+k is either a
     lead agent proved already or an observed one, and an observed one
     continues to the sink, through its observer in class xy.
+
+    Sizes are checked as ``SynthesisSpec`` checks them; a platoon also
+    needs a lead agent (m < n), and m < p is an InfeasibilityError.
     """
-    n, m, p = _whole_number(n, "n"), _whole_number(m, "m"), _whole_number(p, "p")
-    if n < 1 or not (0 <= m <= n) or p < 0:
-        raise ValueError(f"invalid sizes n={n} m={m} p={p}")
+    n, m, p = _sizes(n, m, p)
     if n - m < 1:
         raise ValueError("a platoon needs at least one unobserved lead agent")
     if m < p:

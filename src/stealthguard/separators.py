@@ -48,8 +48,8 @@ from .topology import (
     Digraph,
     StructuredSystem,
     _Record,
+    _budget,
     _set,
-    _whole_number,
     attack_input_id,
     build_separator_graph,
 )
@@ -318,11 +318,10 @@ def is_structurally_left_invertible(sys: StructuredSystem) -> bool:
     reconstructed from the sensor outputs (generically).
 
     Holds exactly when the attack graph carries a disjoint linking that
-    uses every attack input. Vacuously true for an empty attack set.
+    uses every attack input. Vacuously true for an empty attack set,
+    whose linking has size 0.
     """
     p_in = sys.num_attack_inputs
-    if p_in == 0:
-        return True
     if p_in > sys.topology.m:
         # fewer sensors than attack inputs can never separate them
         return False
@@ -341,9 +340,7 @@ def certify_robustness(topology: DcsTopology, p: int,
     <= p that defeats left invertibility: the agent itself plus every
     separator member.
     """
-    p = _whole_number(p, "attack budget p")
-    if p < 0:
-        raise ValueError("attack budget p must be nonnegative")
+    p = _budget(p)
     if observers_attackable and topology.m < p:
         raise InfeasibilityError(
             f"m={topology.m} sensors cannot withstand p={p} attacks on the "

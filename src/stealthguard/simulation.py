@@ -138,7 +138,9 @@ class Realization:
     Construction stores a read-only float copy of each matrix, so no write
     into the given arrays, or into the stored ones, can undo its checks.
     It checks everything the numeric functions assume of the plant, so
-    none of them checks it again: the shapes agree, every entry is finite,
+    none of them checks it again: all six matrices are 2-D and their
+    shapes agree (one check: A and Q n x n, B n x k, C m x n, D m x k, R
+    m x m, and a ValueError for every other shape), every entry is finite,
     Q and R are symmetric and positive semidefinite, and eta is a real
     number, finite and nonnegative (ValueError for each).
 
@@ -165,17 +167,12 @@ class Realization:
     def __post_init__(self):
         for name in _MATRICES:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
-        n, m = self.n, self.m
-        if self.A.shape != (n, n):
-            raise ValueError("state matrix must be square")
-        if self.B.shape[0] != n or self.D.shape[0] != m:
-            raise ValueError("attack matrices do not match system dimensions")
-        if self.B.shape[1] != self.D.shape[1]:
-            raise ValueError("actuation and corruption must share the input count")
-        if self.C.shape[1] != n:
-            raise ValueError("sensor matrix has the wrong shape")
-        if self.Q.shape != (n, n) or self.R.shape != (m, m):
-            raise ValueError("noise covariances have the wrong shape")
+        # (n,), (k,) and (m,), each empty when A, B or C has too few axes
+        n, k, m = self.A.shape[:1], self.B.shape[1:2], self.C.shape[:1]
+        if (len(n + k + m) < 3 or [getattr(self, name).shape for name in _MATRICES]
+                != [n + n, n + k, m + n, m + k, n + n, m + m]):
+            raise ValueError("realization matrices must be 2-D, with A and Q n x n, B n x k, "
+                             "C m x n, D m x k and R m x m")
         if not all(np.all(np.isfinite(getattr(self, name))) for name in _MATRICES):
             raise ValueError("realization matrices must be finite")
         for cov in (self.Q, self.R):

@@ -91,6 +91,16 @@ def _whole_number(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _budget(p) -> int:
+    """The attack budget as a plain int: a whole number, at least 0, or
+    ValueError. The one budget check: ``AttackScenario``, the file readers
+    and writers, and ``certify_robustness`` all make it."""
+    p = _whole_number(p, "attack budget p")
+    if p < 0:
+        raise ValueError("attack budget p must be nonnegative")
+    return p
+
+
 def _check_horizon(horizon) -> int:
     """A positive whole step count; the CLI checks --horizon with it before
     numpy loads."""
@@ -322,9 +332,7 @@ class AttackScenario(_Record):
             observers = frozenset(map(operator.index, compromised_observers))
         except TypeError:
             raise ValueError("every attacked agent and observer index must be an integer") from None
-        p_bound = _whole_number(p_bound, "attack budget p")
-        if p_bound < 0:
-            raise ValueError("p_bound must be nonnegative")
+        p_bound = _budget(p_bound)
         size = len(agents) + len(observers)
         if size > p_bound:
             raise ValueError(f"attack set of size {size} exceeds budget p={p_bound}")
@@ -433,9 +441,8 @@ def parse_topology(text: str):
             if k in sensors:
                 raise TopologyFormatError(f"observer y{k} assigned twice", line)
             sensors[k] = j
-    if p < 0:
-        raise TopologyFormatError("attack budget p must be nonnegative")
     try:
+        p = _budget(p)
         top = DcsTopology(n=n, m=m, agent_edges=edges, observer_assignment=sensors)
     except ValueError as exc:
         raise TopologyFormatError(str(exc)) from None
@@ -523,15 +530,6 @@ def _json_records(text: str):
                     f"got {entry!r}")
             records.append((None, kind, *entry))
     return (doc["n"], doc["m"], doc["p"]), records
-
-
-def _budget(p) -> int:
-    """The attack budget as a plain int, or the ValueError the readers
-    would give: a file must carry a whole number, at least 0."""
-    p = _whole_number(p, "attack budget p")
-    if p < 0:
-        raise ValueError("attack budget p must be nonnegative")
-    return p
 
 
 def format_topology(topology: DcsTopology, p: int) -> str:

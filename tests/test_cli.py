@@ -386,6 +386,10 @@ MALFORMED = {
         d, edges=[["x1", "x1"], ["x2", "x2"], {"x1": 0, "x2": 0}]),
     "object-shaped sensor": lambda d: certify_pair_json(
         d, sensors=[{"y1": 0, "x2": 0}]),
+    "observer on a missing agent": lambda d: certify_pair_json(d, sensors=[["y1", "x3"]]),
+    "negative header budget": lambda d: certify_pair_json(d, p=-1),
+    "sensor count too large for a float": lambda d: ["sensors", "--n", "1" + "0" * 400,
+                                                     "--p", "1", "--k1", "1", "--k2", "2"],
     "simulate without agents": lambda d: ["simulate", "--topology", str(agentless_file(d))],
     "attack without agents": lambda d: ["attack", "--topology", str(agentless_file(d)),
                                         "--attack", ","],
@@ -404,6 +408,23 @@ def test_malformed_input_exits_two_with_a_message(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_simulate_draws_the_spectral_radius_it_is_given(tmp_path, capsys):
+    args = ["simulate", "--topology", str(hidden_pair_file(tmp_path)), "--attack", "x1"]
+    code, default, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, *args, "--spectral-radius", "0.5")
+    assert (code, err) == (0, "")
+    assert out != default
+
+
+@pytest.mark.parametrize("radius, shown", [("1", "1.0"), ("nan", "nan")])
+def test_simulate_refuses_a_spectral_radius_outside_zero_to_one(tmp_path, capsys, radius, shown):
+    code, out, err = run(capsys, "simulate", "--topology", str(hidden_pair_file(tmp_path)),
+                         "--spectral-radius", radius)
+    assert (code, out) == (2, "")
+    assert err == f"error: spectral radius target must be a real number in (0, 1), got {shown}\n"
 
 
 def test_a_json_array_topology_gets_the_json_message(tmp_path, capsys):

@@ -51,6 +51,25 @@ def test_synthesis_spec_validation():
         SynthesisSpec(n=3, m=2, p=4)
 
 
+# every design entry point that takes n, m and p; each checks them with _sizes
+SIZED_BUILDERS = {"spec": SynthesisSpec, "link minimum": min_links_value,
+                  "platoon": synthesize_platoon}
+
+
+@pytest.mark.parametrize("builder", sorted(SIZED_BUILDERS))
+@pytest.mark.parametrize("n, m, p, message", [
+    (0, 0, 0, "need at least one agent, got n=0"),
+    (-2, 0, 0, "need at least one agent, got n=-2"),
+    (3, 1, -1, "attack budget must satisfy 0 <= p <= n, got p=-1"),
+    (3, 3, 4, "attack budget must satisfy 0 <= p <= n, got p=4"),
+    (3, 4, 1, "need 0 <= m <= n, got m=4"),
+    (3, -1, 0, "need 0 <= m <= n, got m=-1"),
+])
+def test_design_sizes_are_refused_with_one_message(builder, n, m, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SIZED_BUILDERS[builder](n, m, p)
+
+
 def test_synthesize_reference_cases():
     res = synthesize(SynthesisSpec(n=4, m=2, p=2))
     assert res.link_count == 10 and res.certified
@@ -94,6 +113,12 @@ def test_sensor_count_refuses_an_empty_network():
         SynthesisSpec(n=0, m=0, p=0)
 
 
+def test_sensor_count_refuses_a_budget_outside_zero_to_n():
+    for p in (-1, 6):
+        with pytest.raises(ValueError, match=f"^attack budget must satisfy 0 <= p <= n, got p={p}$"):
+            optimal_sensor_count(5, p, 1.0, 1.0)
+
+
 def test_sensor_count_reference_cases():
     m, cost = optimal_sensor_count(5, 2, 1.0, 2.0)
     assert m == 2 and cost == 17.0
@@ -133,6 +158,12 @@ def test_sensor_count_refuses_a_total_that_overflows():
     with pytest.raises(ValueError, match="overflows"):
         optimal_sensor_count(1000, 2, 1e308, 1e308)
     assert optimal_sensor_count(1000, 2, 1e300, 1e300) == (2, 1e300 * 2998 + 1e300 * 2)
+    # link counts too large to convert to a float, in either class, and a
+    # budget too large for one in the agents-only class
+    huge = 10 ** 400
+    for p, flag in ((1, True), (1, False), (huge, True), (huge, False)):
+        with pytest.raises(ValueError, match="overflows a float$"):
+            optimal_sensor_count(huge, p, 1.0, 2.0, observers_attackable=flag)
 
 
 def test_sensor_count_tie_breaks_toward_fewer_sensors():

@@ -580,6 +580,18 @@ def test_input_that_drives_nothing_is_a_witness():
     assert not np.any(trace.inputs[1:])
 
 
+def test_sensorless_plant_has_a_witness():
+    # no sensor at all: any input is stealthy, the trace is a unit first input
+    sys = make_system(2, 0, {(1, 1), (2, 2), (1, 2)}, {}, agents=[1])
+    real = realize(sys, seed=3)
+    assert normal_rank(real) == 0
+    trace = find_perfect_attack(real)
+    assert trace.inputs[0, 0] == 1.0
+    res = simulate(real, attack=trace, horizon=trace.horizon)
+    assert not np.any(res.attacked_alarms)
+    assert np.max(np.abs(res.delta_states)) == 1.0
+
+
 def test_attacked_agent_that_reaches_no_sensor_is_a_witness():
     sys = make_system(2, 1, {(1, 1), (2, 2)}, {1: 1}, agents=[2])
     real = realize(sys, seed=1)
@@ -612,6 +624,36 @@ def test_noise_variances_must_be_finite_and_nonnegative():
             realize(sys, process_noise=np.diag([1.0, bad]))
         with pytest.raises(ValueError, match="finite"):
             realize(sys, measurement_noise=np.array([[bad]]))
+
+
+SHAPE_PLANT = dict(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                   D=np.zeros((1, 1)), Q=np.eye(2), R=np.eye(1), eta=3.84)
+
+
+@pytest.mark.parametrize("bad", [
+    {"A": np.array(0.5)},  # 0-d
+    {"B": np.ones(2)},  # 1-D
+    {"A": np.ones((2, 2, 1))},
+    {"B": np.ones((2, 1, 1)), "D": np.zeros((1, 1, 1))},
+    {"A": np.ones((2, 3))},
+    {"B": np.ones((3, 1))},
+    {"C": np.ones((1, 3))},
+    {"D": np.zeros((2, 1))},
+    {"D": np.zeros((1, 2))},
+    {"Q": np.eye(3)},
+    {"R": np.eye(2)},
+    {name: np.array(1.0) for name in "ABCDQR"},  # shapes that agree, none 2-D
+    {"A": np.array(1.0), "B": np.array(1.0), "Q": np.array(1.0), "C": np.ones(1),
+     "D": np.ones(1)},
+])
+def test_realization_refuses_every_bad_shape(bad):
+    Realization(**SHAPE_PLANT)
+    with pytest.raises(ValueError, match="^realization matrices must be 2-D"):
+        Realization(**dict(SHAPE_PLANT, **bad))
+
+
+def test_spectral_radius_of_an_empty_matrix_is_zero():
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 def test_realization_checks_its_covariances():

@@ -68,6 +68,8 @@ def test_topology_validation_rejects_bad_data():
     with pytest.raises(ValueError):
         DcsTopology(n=3, m=2, agent_edges={(1, 1), (2, 2), (3, 3)},
                     observer_assignment={1: 1, 2: 1})  # both sensors on x1
+    with pytest.raises(ValueError, match="^observer target x3 out of range$"):
+        DcsTopology(n=2, m=1, agent_edges={(1, 1), (2, 2)}, observer_assignment={1: 3})
 
 
 def test_topology_accessors():
@@ -613,6 +615,23 @@ def test_writers_write_a_whole_budget_as_a_plain_int(writer):
     for p, whole in ((np.int64(2), 2), (np.int8(0), 0), (True, 1)):
         back, q = parse_topology(writer(t, p))
         assert back == t and q == whole and type(q) is int
+
+
+# the readers of an attack budget besides the writers, each checking it with _budget
+BUDGET_SITES = {
+    "attack scenario": lambda p: AttackScenario(set(), set(), p),
+    "certify": lambda p: certify_robustness(ring(3, m=1), p),
+    "text header": lambda p: parse_topology(f"1 0 {p}\nedge x1 x1\n"),
+    "JSON header": lambda p: parse_topology(json.dumps(
+        {"n": 1, "m": 0, "p": p, "edges": [["x1", "x1"]], "sensors": []})),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BUDGET_SITES))
+def test_every_budget_check_gives_the_same_refusal(site):
+    with pytest.raises(ValueError, match="^attack budget p must be nonnegative$"):
+        BUDGET_SITES[site](-1)
+    BUDGET_SITES[site](0)
 
 
 def test_a_refused_budget_leaves_the_saved_file(tmp_path):
