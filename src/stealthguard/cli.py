@@ -354,7 +354,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # e.g. a --horizon too long to allocate
-        sys.stderr.write(f"error: out of memory: {exc}\n")
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 2
 
 

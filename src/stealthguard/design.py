@@ -202,7 +202,8 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     Returns (m, total_cost). Sizes are checked as ``SynthesisSpec``
     checks them, with m = 0, so a refusal names n or p. A cost that is not
     a real number, or a total too large for a float (a link count too
-    large to convert to one included), is a ValueError.
+    large to convert to one included), is a ValueError; its message names
+    a count too large for a float by its number of digits.
     """
     n, _, p = _sizes(n, 0, p)
     if not all(isinstance(c, numbers.Real) for c in (cost_link, cost_sensor)):
@@ -224,9 +225,21 @@ def optimal_sensor_count(n: int, p: int, cost_link: float, cost_sensor: float,
     except OverflowError:  # a count too large to convert to a float
         total = math.inf
     if not math.isfinite(total):
-        raise ValueError(f"total cost of {links} links at {cost_link:g} and {m_star} sensors "
-                         f"at {cost_sensor:g} overflows a float")
+        raise ValueError(f"total cost of {_count_text(links)} links at {cost_link:g} and "
+                         f"{_count_text(m_star)} sensors at {cost_sensor:g} overflows a float")
     return m_star, total
+
+
+def _count_text(k: int) -> str:
+    """``k`` written out, or, if it is too large for a float, its number of
+    digits: a count that large may have more digits than Python converts."""
+    try:
+        float(k)
+    except OverflowError:
+        digits = int(math.log10(k)) + 1  # log10 may round across a power of ten
+        digits += (k >= 10 ** digits) - (k < 10 ** (digits - 1))
+        return f"a {digits}-digit number of"
+    return str(k)
 
 
 def synthesize_platoon(n: int, m: int, p: int,

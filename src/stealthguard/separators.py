@@ -21,7 +21,13 @@ super source and the sink; the numeric layer's linking bound builds
 ``names`` only when a result object is made.
 
 All functions are pure; certification builds one network per sink and
-reuses it for every agent, clearing its flow between agents.
+reuses it for every agent, clearing its flow between agents. An agent
+with a one-hop fan needs no flow: p observed receivers other than itself
+(in class xy its own sensor counts as one) give p paths that share only
+the agent and the sink, since every sensor is dedicated to one agent, so
+its separator is at least p. The paper's minimal designs give every agent
+such a fan and so certify in linear time; a chain agent, whose paths run
+through other unobserved agents, still runs one flow.
 
 The split graph is never built. A vertex passes at most one unit of flow,
 so the flow is two vertex arrays: the vertex that sends each vertex its
@@ -339,6 +345,10 @@ def certify_robustness(topology: DcsTopology, p: int,
     in ascending order) is converted into a concrete attack set of size
     <= p that defeats left invertibility: the agent itself plus every
     separator member.
+
+    An agent with p observed receivers other than itself (in class xy an
+    observed agent's own sensor counts as one) is recorded as p without a
+    flow; every other agent runs one max flow, cut off at p.
     """
     p = _budget(p)
     if observers_attackable and topology.m < p:
@@ -353,10 +363,21 @@ def certify_robustness(topology: DcsTopology, p: int,
     else:
         agents = sorted(topology.unobserved_agents)
     net = _VertexFlowNet(succ, len(succ) - 1)
+    # a fan vertex reaches the sink through no vertex but its own: an
+    # observed agent (through its dedicated observer in class xy) and, in
+    # class xy, an observer
+    fan = bytearray(len(succ))
+    for j in topology.observer_assignment.values():
+        fan[j - 1] = 1
+    if observers_attackable:
+        fan[topology.n:-1] = b"\x01" * topology.m
     counts = {}
     counterexample = None
     for i in agents:
-        size = net.max_flow(i - 1, cutoff=p)
+        # p fan successors other than the agent give p paths that share only
+        # the agent and the sink, so no flow is needed
+        fanned = sum(map(fan.__getitem__, succ[i - 1])) - fan[i - 1] >= p
+        size = p if fanned else net.max_flow(i - 1, cutoff=p)
         counts[names[i - 1]] = size
         if size < p and counterexample is None:
             cut = net.source_side_cut()

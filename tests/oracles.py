@@ -3,7 +3,8 @@
 Everything here trades speed for obvious correctness: exhaustive subset
 removal for separators, exhaustive path-family search for linkings, a
 flow search that queues every split-vertex copy, exhaustive attack-set
-enumeration for robustness verdicts, graphs built one edge at a time as
+enumeration for robustness verdicts, certification by one max flow per
+agent with no shortcut, graphs built one edge at a time as
 plain string adjacency, the attack-to-output transfer matrix evaluated
 in floating point, the filter's Riccati recursion stepped one step at a
 time, plant and filter stepped together one step at a time, and the
@@ -17,8 +18,11 @@ import numpy as np
 
 from stealthguard import (
     AttackScenario,
+    Counterexample,
     DcsTopology,
+    RobustnessReport,
     StructuredSystem,
+    build_separator_graph,
     is_structurally_left_invertible,
 )
 from stealthguard.separators import _VertexFlowNet
@@ -292,6 +296,31 @@ def brute_robust(topology: DcsTopology, p: int, observers_attackable: bool) -> b
     return all(
         is_structurally_left_invertible(StructuredSystem(topology=topology, scenario=scen))
         for scen in enumerate_attacks(topology, p, observers_attackable))
+
+
+def flow_only_certify(topology: DcsTopology, p: int,
+                      observers_attackable: bool) -> RobustnessReport:
+    """``certify_robustness`` with a max flow for every agent: no agent is
+    certified by its fan of observed receivers. The budget must be a
+    plain int that the class can meet."""
+    graph = build_separator_graph(topology, collapse_observers=not observers_attackable)
+    names, n = graph.names, topology.n
+    agents = range(1, n + 1) if observers_attackable else sorted(topology.unobserved_agents)
+    net = _VertexFlowNet(graph.succ, len(graph.succ) - 1)
+    counts, counterexample = {}, None
+    for i in agents:
+        counts[names[i - 1]] = size = net.max_flow(i - 1, cutoff=p)
+        if size < p and counterexample is None:
+            cut = net.source_side_cut()
+            attack = AttackScenario(
+                compromised_agents={i} | {v + 1 for v in cut if v < n},
+                compromised_observers={v - n + 1 for v in cut if v >= n}, p_bound=p)
+            counterexample = Counterexample(agent=names[i - 1],
+                                            separator=frozenset(names[v] for v in cut),
+                                            attack=attack)
+    return RobustnessReport(robust=counterexample is None,
+                            observers_attackable=observers_attackable, p=p,
+                            per_agent_min_separator=counts, counterexample=counterexample)
 
 
 def random_digraph(rng, max_nodes=7, edge_prob=0.35) -> Digraph:

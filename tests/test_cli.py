@@ -316,6 +316,21 @@ def test_horizon_too_long_to_allocate_exits_two(tmp_path, capsys, attack):
     assert err.startswith("error: out of memory: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("no room for the links"), "error: out of memory: no room for the links\n"),
+])
+def test_out_of_memory_exits_two_with_a_message(capsys, monkeypatch, error, message):
+    import stealthguard.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "synthesize_platoon", fail)
+    code, out, err = run(capsys, "platoon", "--n", "8", "--m", "2", "--p", "2")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_missing_topology_file(capsys):
     code, _, err = run(capsys, "certify", "--topology", "/nonexistent/top.txt")
     assert code == 2
@@ -425,6 +440,14 @@ def test_simulate_refuses_a_spectral_radius_outside_zero_to_one(tmp_path, capsys
                          "--spectral-radius", radius)
     assert (code, out) == (2, "")
     assert err == f"error: spectral radius target must be a real number in (0, 1), got {shown}\n"
+
+
+def test_sensors_names_a_count_too_large_for_a_float_by_its_digits(capsys):
+    huge = "1" + "0" * 3000
+    code, out, err = run(capsys, "sensors", "--n", huge, "--p", huge, "--k1", "1", "--k2", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: total cost of a 6001-digit number of links at 1 and a 3001-digit "
+                   "number of sensors at 2 overflows a float\n")
 
 
 def test_a_json_array_topology_gets_the_json_message(tmp_path, capsys):

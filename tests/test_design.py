@@ -166,6 +166,29 @@ def test_sensor_count_refuses_a_total_that_overflows():
             optimal_sensor_count(huge, p, 1.0, 2.0, observers_attackable=flag)
 
 
+@pytest.mark.parametrize("n, p, flag, message", [
+    (10 ** 400, 1, True, "total cost of a 401-digit number of links at 1 and 1 sensors at 2"),
+    # 10**6000 links: more digits than Python converts an int to
+    (10 ** 3000, 10 ** 3000, True, "total cost of a 6001-digit number of links at 1 "
+                                   "and a 3001-digit number of sensors at 2"),
+    (10 ** 3000, 10 ** 3000, False, "total cost of a 3001-digit number of links at 1 "
+                                    "and a 3001-digit number of sensors at 2"),
+])
+def test_sensor_count_overflow_names_a_huge_count_by_its_digits(n, p, flag, message):
+    with pytest.raises(ValueError) as exc:
+        optimal_sensor_count(n, p, 1.0, 2.0, observers_attackable=flag)
+    assert str(exc.value) == message + " overflows a float"
+
+
+def test_count_text_gives_the_exact_number_of_digits():
+    assert design._count_text(2998) == "2998"
+    assert design._count_text(2 ** 1023) == str(2 ** 1023)  # still a float
+    # 10**d - 1 has d digits, 10**d and 10**d + 1 have d + 1
+    for d in (310, 400, 4300, 6000):
+        for k, digits in ((10 ** d - 1, d), (10 ** d, d + 1), (10 ** d + 1, d + 1)):
+            assert design._count_text(k) == f"a {digits}-digit number of"
+
+
 def test_sensor_count_tie_breaks_toward_fewer_sensors():
     # mixed class: equal unit costs make every m equally good; pick m = p
     m, _ = optimal_sensor_count(6, 2, 1.0, 1.0)

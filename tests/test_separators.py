@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from oracles import (
     closest_min_separator,
     digraph,
     enumerate_attacks,
+    flow_only_certify,
     random_digraph,
     random_topology,
     reference_attack_graph,
@@ -644,3 +647,122 @@ def test_certify_matches_networkx_connectivity_on_sensor_hubs(n, p, hub_share, e
     report = check_certify_against_networkx(t, p, observers_attackable)
     if not cut:
         assert report.robust
+
+
+def count_flows(monkeypatch) -> list:
+    """Patch the flow core to record the source of every max flow run."""
+    sources = []
+    max_flow = _VertexFlowNet.max_flow
+
+    def counted(self, source, cutoff=None):
+        sources.append(source)
+        return max_flow(self, source, cutoff)
+
+    monkeypatch.setattr(_VertexFlowNet, "max_flow", counted)
+    return sources
+
+
+def check_certify_against_flow_only(t, p, observers_attackable):
+    """The report, its dict and its JSON text equal those of a max flow
+    for every agent."""
+    report = certify_robustness(t, p, observers_attackable=observers_attackable)
+    reference = flow_only_certify(t, p, observers_attackable)
+    assert report == reference
+    assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub=st.booleans(), n=st.integers(1, 30), sensor_share=st.floats(0.0, 1.0),
+       edge_prob=st.floats(0.0, 0.4), p=st.integers(0, 6),
+       observers_attackable=st.booleans(), cut=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fan_certified_agents_report_what_the_flow_reports(hub, n, sensor_share, edge_prob, p,
+                                                           observers_attackable, cut, seed):
+    rng = np.random.default_rng(seed)
+    p = min(p, n)
+    if hub and 0 < p < n:
+        # every agent of the class has a fan of p observed receivers, unless
+        # cut; an unobserved agent keeps a link for the cut to remove
+        m = min(n - 1, max(p, round(sensor_share * n)))
+        t = hub_topology(rng, n, m, p, observers_attackable, edge_prob / 4, cut)
+    else:
+        t = random_topology(rng, n=n, m=round(sensor_share * n), edge_prob=edge_prob)
+        if observers_attackable:
+            p = min(p, t.m)
+    check_certify_against_flow_only(t, p, observers_attackable)
+
+
+@pytest.mark.parametrize("observers_attackable", [True, False])
+def test_agent_one_observed_receiver_short_of_its_fan_runs_the_flow(monkeypatch,
+                                                                    observers_attackable):
+    # x3 feeds observed x1 and unobserved x4: one fan successor for p = 2,
+    # and a second path through x4, which feeds both observed agents, that
+    # only the flow finds
+    edges = {(i, i) for i in range(1, 5)} | {(1, 2), (2, 1), (3, 1), (3, 4), (4, 1), (4, 2)}
+    t = DcsTopology(n=4, m=2, agent_edges=edges, observer_assignment={1: 1, 2: 2})
+    flows = count_flows(monkeypatch)
+    report = certify_robustness(t, 2, observers_attackable=observers_attackable)
+    assert flows == [2]  # x3 is vertex 2
+    assert report.robust
+    assert report.per_agent_min_separator["x3"] == 2
+    assert check_certify_against_networkx(t, 2, observers_attackable) == report
+    check_certify_against_flow_only(t, 2, observers_attackable)
+
+
+def test_observed_agent_with_its_sensor_and_p_minus_one_peers_needs_no_flow(monkeypatch):
+    # class xy: each observed agent feeds the other two, so its own sensor
+    # and two peers make three paths that share only the agent
+    edges = {(a, b) for a in range(1, 4) for b in range(1, 4)}
+    t = DcsTopology(n=3, m=3, agent_edges=edges, observer_assignment={1: 1, 2: 2, 3: 3})
+    flows = count_flows(monkeypatch)
+    report = certify_robustness(t, 3, observers_attackable=True)
+    assert report.robust
+    assert report.per_agent_min_separator == {"x1": 3, "x2": 3, "x3": 3}
+    assert flows == []
+
+
+def test_self_loop_of_an_observed_agent_is_not_a_fan_path(monkeypatch):
+    # x1 is observed and has only its self-loop: its sensor is its one path
+    t = DcsTopology(n=2, m=2, agent_edges={(1, 1), (2, 2), (2, 1)},
+                    observer_assignment={1: 1, 2: 2})
+    flows = count_flows(monkeypatch)
+    report = certify_robustness(t, 2, observers_attackable=True)
+    assert flows == [0]
+    assert report.per_agent_min_separator == {"x1": 1, "x2": 2}
+    assert report.counterexample.agent == "x1"
+    assert report.counterexample.separator == frozenset({"y1"})
+    assert check_certify_against_networkx(t, 2, True) == report
+    check_certify_against_flow_only(t, 2, True)
+
+
+def test_certify_p_zero_runs_no_flow(monkeypatch):
+    t = DcsTopology(n=3, m=1, agent_edges={(1, 1), (2, 2), (3, 3), (2, 1)},
+                    observer_assignment={1: 1})
+    flows = count_flows(monkeypatch)
+    for flag in (True, False):
+        report = certify_robustness(t, 0, observers_attackable=flag)
+        assert flows == []
+        assert report.robust and set(report.per_agent_min_separator.values()) == {0}
+        check_certify_against_flow_only(t, 0, flag)
+        flows.clear()
+
+
+@pytest.mark.parametrize("observers_attackable", [True, False])
+def test_synthesized_designs_certify_without_a_flow(monkeypatch, observers_attackable):
+    t = synthesize(SynthesisSpec(2000, 10, 10, observers_attackable)).topology
+    flows = count_flows(monkeypatch)
+    report = certify_robustness(t, 10, observers_attackable=observers_attackable)
+    assert report.robust
+    assert len(report.per_agent_min_separator) == (2000 if observers_attackable else 1990)
+    assert flows == []
+
+
+def test_chain_agents_still_run_the_flow(monkeypatch):
+    # lead agent i feeds x_(i+1) and x_(i+2), and only x198 feeds two
+    # observed agents; every earlier lead agent runs its flow
+    t = synthesize_platoon(200, 2, 2).topology
+    flows = count_flows(monkeypatch)
+    report = certify_robustness(t, 2, observers_attackable=False)
+    assert report.robust
+    assert flows == list(range(197))
